@@ -1,11 +1,11 @@
-//! Preloaded vs streamed arrival scheduling on a million-request synthetic
-//! trace: the streamed engine keeps the event heap at O(disks) instead of
-//! O(requests), which is both a peak-memory and a heap-operation win.
+//! Streamed arrival scheduling on a million-request synthetic trace: the
+//! engine reads arrivals from the source and keeps only the disks' own
+//! events in the heap, so the heap stays O(disks) instead of O(requests).
 //! Results are recorded in BENCHMARKS.md to track the trajectory across PRs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use spindown_packing::{Assignment, DiskBin};
-use spindown_sim::config::{ArrivalMode, SimConfig, ThresholdPolicy};
+use spindown_sim::config::{SimConfig, ThresholdPolicy};
 use spindown_sim::engine::Simulator;
 use spindown_workload::{FileCatalog, Trace};
 use std::hint::black_box;
@@ -36,37 +36,28 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("arrival_scheduling");
     group.sample_size(10);
     group.throughput(Throughput::Elements(trace.len() as u64));
-    for (label, mode) in [
-        ("streamed", ArrivalMode::Streamed),
-        ("preloaded", ArrivalMode::Preloaded),
-    ] {
-        let cfg = SimConfig::paper_default()
-            .with_threshold(ThresholdPolicy::BreakEven)
-            .with_arrival_mode(mode);
-        group.bench_with_input(BenchmarkId::new("1M_requests", label), &cfg, |b, cfg| {
+    let cfg = SimConfig::paper_default().with_threshold(ThresholdPolicy::BreakEven);
+    group.bench_with_input(
+        BenchmarkId::new("1M_requests", "streamed"),
+        &cfg,
+        |b, cfg| {
             b.iter(|| {
                 let report = Simulator::run(&catalog, &trace, &assignment, black_box(cfg)).unwrap();
                 black_box((report.responses.len(), report.peak_event_queue_max()))
             })
-        });
-    }
+        },
+    );
     group.finish();
 
     // One-shot peak-queue report so `cargo bench` output records the
     // memory story alongside the timing story.
-    for (label, mode) in [
-        ("streamed", ArrivalMode::Streamed),
-        ("preloaded", ArrivalMode::Preloaded),
-    ] {
-        let cfg = SimConfig::paper_default().with_arrival_mode(mode);
-        let report = Simulator::run(&catalog, &trace, &assignment, &cfg).unwrap();
-        println!(
-            "arrival_scheduling/peak_event_queue/{label}: {} entries ({} requests, {} disks)",
-            report.peak_event_queue_max(),
-            trace.len(),
-            report.disks
-        );
-    }
+    let report = Simulator::run(&catalog, &trace, &assignment, &cfg).unwrap();
+    println!(
+        "arrival_scheduling/peak_event_queue/streamed: {} entries ({} requests, {} disks)",
+        report.peak_event_queue_max(),
+        trace.len(),
+        report.disks
+    );
 }
 
 criterion_group!(benches, bench);

@@ -15,7 +15,7 @@ use spindown_sim::config::{SimConfig, ThresholdPolicy};
 use spindown_sim::engine::Simulator;
 use spindown_sim::hierarchy::CacheChoice;
 use spindown_sim::metrics::MetricsMode;
-use spindown_workload::{FileCatalog, Trace};
+use spindown_workload::{FileCatalog, InMemorySource, Trace};
 use std::hint::black_box;
 
 const FILES: usize = 512;
@@ -57,11 +57,11 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let report = Simulator::run_with_policy(
                     &catalog,
-                    &trace,
+                    InMemorySource::new(&trace),
                     &assignment,
                     black_box(cfg),
                     DISKS,
-                    PolicyChoice::break_even().build(&cfg.disk),
+                    |_| PolicyChoice::break_even().build(&cfg.disk),
                 )
                 .unwrap();
                 black_box(report.energy.total_joules())
@@ -73,7 +73,8 @@ fn bench(c: &mut Criterion) {
     // The sharded-global tier walk: the same two-tier DRAM→SSD front with
     // its byte budget partitioned across 1/2/4/8 event-loop shards (each
     // shard owns the slice covering its own disks' files — no hot-path
-    // locks). Guards the partitioned build and the merge of per-tier
+    // locks), the in-memory trace demultiplexed to the shards by one
+    // reader thread. Guards the partitioned build and the merge of per-tier
     // counters; the merged report is bit-identical at every count (see
     // tests/cached_shard_equivalence.rs), so this measures wall clock.
     let mut sharded_group = c.benchmark_group("cache_hierarchy/sharded");
@@ -110,11 +111,11 @@ fn bench(c: &mut Criterion) {
             .with_cache_hierarchy(cache.hierarchy());
         let report = Simulator::run_with_policy(
             &catalog,
-            &trace,
+            InMemorySource::new(&trace),
             &assignment,
             &cfg,
             DISKS,
-            PolicyChoice::break_even().build(&cfg.disk),
+            |_| PolicyChoice::break_even().build(&cfg.disk),
         )
         .unwrap();
         let stats = report.cache.unwrap_or_default();

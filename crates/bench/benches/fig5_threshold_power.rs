@@ -4,9 +4,11 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use spindown_core::{Planner, PlannerConfig};
 use spindown_packing::Allocator;
+use spindown_packing::Assignment;
 use spindown_sim::config::{SimConfig, ThresholdPolicy};
 use spindown_sim::engine::Simulator;
 use spindown_workload::nersc::{self, NerscConfig};
+use spindown_workload::InMemorySource;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -25,24 +27,19 @@ fn bench(c: &mut Criterion) {
 
     let sim = SimConfig::paper_default().with_threshold(ThresholdPolicy::Fixed(1_800.0));
     let never = SimConfig::paper_default().with_threshold(ThresholdPolicy::Never);
-    let saving = |assignment| {
-        let e =
-            Simulator::run_with_fleet(&workload.catalog, &workload.trace, assignment, &sim, fleet)
-                .unwrap()
-                .energy
-                .total_joules();
-        let e0 = Simulator::run_with_fleet(
+    let energy = |assignment: &Assignment, cfg: &SimConfig| {
+        Simulator::run_from_source(
             &workload.catalog,
-            &workload.trace,
+            InMemorySource::new(&workload.trace),
             assignment,
-            &never,
+            cfg,
             fleet,
         )
         .unwrap()
         .energy
-        .total_joules();
-        1.0 - e / e0
+        .total_joules()
     };
+    let saving = |assignment| 1.0 - energy(assignment, &sim) / energy(assignment, &never);
     println!(
         "[fig5] threshold 0.5 h: Pack_Disk saving {:.3}, RND saving {:.3} (paper: ~0.85 vs 0.3–0.9)",
         saving(&pack.assignment),
@@ -52,20 +49,7 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig5_threshold_power");
     group.sample_size(10);
     group.bench_function("nersc_pack_threshold_0_5h", |b| {
-        b.iter(|| {
-            black_box(
-                Simulator::run_with_fleet(
-                    &workload.catalog,
-                    &workload.trace,
-                    &pack.assignment,
-                    &sim,
-                    fleet,
-                )
-                .unwrap()
-                .energy
-                .total_joules(),
-            )
-        })
+        b.iter(|| black_box(energy(&pack.assignment, &sim)))
     });
     group.finish();
 }

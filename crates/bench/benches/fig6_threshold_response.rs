@@ -15,18 +15,11 @@ fn bench(c: &mut Criterion) {
     let rate = cfg.arrival_rate();
     let planner = Planner::new(PlannerConfig::default());
     let pack = planner.plan(&workload.catalog, rate).unwrap();
-    let fleet = pack.disk_slots();
 
     for hours in [0.1, 2.0] {
         let sim = SimConfig::paper_default().with_threshold(ThresholdPolicy::Fixed(hours * 3600.0));
-        let report = Simulator::run_with_fleet(
-            &workload.catalog,
-            &workload.trace,
-            &pack.assignment,
-            &sim,
-            fleet,
-        )
-        .unwrap();
+        let report =
+            Simulator::run(&workload.catalog, &workload.trace, &pack.assignment, &sim).unwrap();
         println!(
             "[fig6] threshold {hours} h: Pack_Disk mean response {:.2} s",
             report.responses.mean()
@@ -43,16 +36,10 @@ fn bench(c: &mut Criterion) {
             |b, sim| {
                 b.iter(|| {
                     black_box(
-                        Simulator::run_with_fleet(
-                            &workload.catalog,
-                            &workload.trace,
-                            &pack.assignment,
-                            sim,
-                            fleet,
-                        )
-                        .unwrap()
-                        .responses
-                        .mean(),
+                        Simulator::run(&workload.catalog, &workload.trace, &pack.assignment, sim)
+                            .unwrap()
+                            .responses
+                            .mean(),
                     )
                 })
             },

@@ -14,7 +14,7 @@ use spindown_sim::config::SimConfig;
 use spindown_sim::engine::Simulator;
 use spindown_sim::metrics::MetricsMode;
 use spindown_workload::arrivals::BatchConfig;
-use spindown_workload::{FileCatalog, Trace};
+use spindown_workload::{FileCatalog, InMemorySource, Trace};
 use std::hint::black_box;
 
 const FILES: usize = 256;
@@ -59,11 +59,11 @@ fn bench(c: &mut Criterion) {
                     b.iter(|| {
                         let report = Simulator::run_with_policy(
                             &catalog,
-                            &bursty,
+                            InMemorySource::new(&bursty),
                             &assignment,
                             black_box(cfg),
                             DISKS,
-                            policy.build(&cfg.disk),
+                            |_| policy.build(&cfg.disk),
                         )
                         .unwrap();
                         black_box(report.spin_downs)
@@ -83,11 +83,11 @@ fn bench(c: &mut Criterion) {
             ladder.apply(&mut cfg.disk);
             let report = Simulator::run_with_policy(
                 &catalog,
-                &bursty,
+                InMemorySource::new(&bursty),
                 &assignment,
                 &cfg,
                 DISKS,
-                policy.build(&cfg.disk),
+                |_| policy.build(&cfg.disk),
             )
             .unwrap();
             println!(

@@ -68,8 +68,7 @@ const SYNTHETIC_RATE: f64 = 4.0;
 /// Caches and the completion log compose with `shards > 1` (the global
 /// cache partitions its budget by file residency; per-shard logs k-way
 /// merge), and so do windows (per-disk collectors reassemble in global
-/// disk order). The one coupling left — preloaded arrivals — is an error
-/// naming itself, not a silent single-shard fallback.
+/// disk order).
 #[allow(clippy::too_many_arguments)]
 pub fn replay(
     scale: Scale,
@@ -116,15 +115,6 @@ pub fn replay(
     cfg.sim.faults = faults.plan();
     ladder.apply(&mut cfg.sim.disk);
     let planner = Planner::new(cfg);
-    if shards > 1 {
-        if let Some(coupling) = planner.config().sim.shard_fallback() {
-            return Err(format!(
-                "--shards {shards} is unsupported with {coupling}: the engine would fall \
-                 back to a single shard; rerun with --shards 1 or drop the coupling"
-            )
-            .into());
-        }
-    }
     let plan_rate = workload.map_or(SYNTHETIC_RATE, RateCurve::mean_rate_hint);
     let plan = planner.plan(&catalog, plan_rate)?;
     let fleet = scale.fleet().max(plan.disks_used());

@@ -345,7 +345,7 @@ pub fn shootout_with_faults(
         &random_plan.assignment,
         &base_cfg,
         fleet,
-        &policy_cache_grid(&[PolicyChoice::break_even()], &[None]),
+        &policy_cache_grid(&[PolicyChoice::break_even()], &[CacheChoice::None]),
     )[0]
     .energy
     .total_joules();
@@ -362,7 +362,7 @@ pub fn shootout_with_faults(
         &random_plan.assignment,
         &base_cfg,
         fleet,
-        &policy_cache_grid(&[PolicyChoice::break_even()], &[None]),
+        &policy_cache_grid(&[PolicyChoice::break_even()], &[CacheChoice::None]),
     )[0]
     .energy
     .total_joules();
@@ -399,7 +399,7 @@ pub fn shootout_with_faults(
         &random_plan.assignment,
         &base_cfg,
         fleet,
-        &policy_cache_grid(&[PolicyChoice::break_even()], &[None]),
+        &policy_cache_grid(&[PolicyChoice::break_even()], &[CacheChoice::None]),
     )[0]
     .energy
     .total_joules();
@@ -446,7 +446,7 @@ pub fn shootout_with_faults(
         &random_plan.assignment,
         &base_cfg,
         fleet,
-        &policy_cache_grid(&[PolicyChoice::break_even()], &[None]),
+        &policy_cache_grid(&[PolicyChoice::break_even()], &[CacheChoice::None]),
     )[0]
     .energy
     .total_joules();
@@ -498,7 +498,7 @@ pub fn shootout_with_faults(
         &random_plan.assignment,
         &base_cfg,
         fleet,
-        &policy_cache_grid(&[PolicyChoice::break_even()], &[None]),
+        &policy_cache_grid(&[PolicyChoice::break_even()], &[CacheChoice::None]),
     )[0]
     .energy
     .total_joules();

@@ -9,27 +9,6 @@ use crate::discipline::DisciplineChoice;
 use crate::hierarchy::CacheHierarchyConfig;
 use crate::metrics::MetricsMode;
 
-/// Why a sharded run fell back to a single shard: each variant names a
-/// configuration feature that couples disks (or requests) globally and is
-/// therefore not yet supported by the per-shard event loops. Global-scope
-/// caches and the completion log used to be listed here; both now compose
-/// with `--shards N` (budget-partitioned cache slices, streamed k-way
-/// merged log), leaving preloaded arrivals as the only coupling feature.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ShardFallback {
-    /// Preloaded arrivals push the entire trace into one event heap.
-    PreloadedArrivals,
-}
-
-impl std::fmt::Display for ShardFallback {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let what = match self {
-            ShardFallback::PreloadedArrivals => "preloaded arrival scheduling",
-        };
-        write!(f, "{what}")
-    }
-}
-
 /// When (if ever) an idle disk spins down.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ThresholdPolicy {
@@ -57,42 +36,6 @@ impl ThresholdPolicy {
     }
 }
 
-/// How the engine feeds trace arrivals into its event loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum ArrivalMode {
-    /// Stream arrivals lazily from the time-sorted trace: the engine keeps a
-    /// cursor into the trace and compares the next arrival against the next
-    /// scheduled event, so the event heap holds O(disks) entries instead of
-    /// O(requests). The default; produces bit-identical reports to
-    /// [`ArrivalMode::Preloaded`].
-    #[default]
-    Streamed,
-    /// Pre-push every request into the event queue before the run (the
-    /// original engine behaviour). Peak memory O(requests); kept for
-    /// regression benchmarks and equivalence tests.
-    Preloaded,
-}
-
-/// LRU cache in front of the dispatcher (§5.1 uses 16 GB).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CacheConfig {
-    /// Byte budget.
-    pub capacity_bytes: u64,
-    /// Bandwidth at which cache hits are served, bytes/second (hit response
-    /// time = size / bandwidth).
-    pub bandwidth_bps: f64,
-}
-
-impl CacheConfig {
-    /// The paper's 16 GB cache, served at memory-ish speed (1 GB/s).
-    pub fn paper_16gb() -> Self {
-        CacheConfig {
-            capacity_bytes: 16 * 1_000_000_000,
-            bandwidth_bps: 1.0e9,
-        }
-    }
-}
-
 /// Full simulator configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
@@ -100,19 +43,11 @@ pub struct SimConfig {
     pub disk: DiskSpec,
     /// Spin-down policy.
     pub threshold: ThresholdPolicy,
-    /// Optional LRU cache in front of the dispatcher — the legacy §5.1
-    /// flat-cache knob, equivalent to a single-tier global LRU
-    /// [`cache_hierarchy`](Self::cache_hierarchy) (and internally run as
-    /// one). At most one of `cache` / `cache_hierarchy` may be set.
-    pub cache: Option<CacheConfig>,
-    /// Optional multi-tier cache hierarchy in front of the fleet
-    /// (DRAM→SSD…; see [`crate::hierarchy`]). Takes the general shape the
-    /// legacy `cache` field cannot express: several tiers, per-tier
-    /// replacement policies and bandwidths, and a per-disk scope that
-    /// composes with sharding bit-identically.
+    /// Optional cache hierarchy in front of the fleet (DRAM→SSD…; see
+    /// [`crate::hierarchy`]): one or more tiers with their own replacement
+    /// policies and bandwidths, global or per-disk scope. §5.1's flat
+    /// 16 GB LRU is [`CacheHierarchyConfig::paper_16gb`].
     pub cache_hierarchy: Option<CacheHierarchyConfig>,
-    /// Arrival scheduling strategy (streamed by default).
-    pub arrivals: ArrivalMode,
     /// Per-disk queue discipline (FIFO by default — the paper's §4 model).
     pub discipline: DisciplineChoice,
     /// How response-time samples are aggregated: exact (every sample kept,
@@ -137,9 +72,7 @@ pub struct SimConfig {
     /// thread, and per-shard reports are merged. `1` — the default — is
     /// today's single-threaded engine, unchanged. Histogram-mode metrics,
     /// all energy totals, cache statistics and the completion log are
-    /// bit-identical across shard counts; the engine falls back to one
-    /// shard only for preloaded arrivals (which push the whole trace into
-    /// one event heap).
+    /// bit-identical across shard counts.
     pub shards: usize,
     /// Seeded deterministic fault injection (crashes, transient I/O
     /// errors, wake failures, fail-slow windows, load shedding — see
@@ -165,9 +98,7 @@ impl SimConfig {
         SimConfig {
             disk: DiskSpec::seagate_st3500630as(),
             threshold: ThresholdPolicy::BreakEven,
-            cache: None,
             cache_hierarchy: None,
-            arrivals: ArrivalMode::Streamed,
             discipline: DisciplineChoice::Fifo,
             metrics: MetricsMode::Exact,
             completion_log: CompletionLogMode::Off,
@@ -192,31 +123,10 @@ impl SimConfig {
         self
     }
 
-    /// Attach a cache (§5.1's "+LRU" series).
-    pub fn with_cache(mut self, cache: CacheConfig) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Attach (or clear) a multi-tier cache hierarchy. The engine rejects
-    /// configurations that set both this and the legacy `cache` field.
+    /// Attach (or clear) a cache hierarchy (§5.1's "+LRU" series is
+    /// `Some(CacheHierarchyConfig::paper_16gb())`).
     pub fn with_cache_hierarchy(mut self, hierarchy: Option<CacheHierarchyConfig>) -> Self {
         self.cache_hierarchy = hierarchy;
-        self
-    }
-
-    /// The hierarchy the engine actually runs: the explicit
-    /// `cache_hierarchy` if set, else the legacy `cache` field lowered to
-    /// its single-tier global-LRU equivalent.
-    pub(crate) fn effective_cache_hierarchy(&self) -> Option<CacheHierarchyConfig> {
-        self.cache_hierarchy
-            .clone()
-            .or_else(|| self.cache.as_ref().map(CacheHierarchyConfig::from_legacy))
-    }
-
-    /// Select the arrival scheduling strategy.
-    pub fn with_arrival_mode(mut self, arrivals: ArrivalMode) -> Self {
-        self.arrivals = arrivals;
         self
     }
 
@@ -287,14 +197,6 @@ impl SimConfig {
         self.windows = Some(width_s);
         self
     }
-
-    /// Why a multi-shard run of this configuration would fall back to one
-    /// shard (`None` — the common case — means it shards freely). Since
-    /// global-scope caches and the completion log learned to shard, the
-    /// only remaining coupling feature is preloaded arrival scheduling.
-    pub fn shard_fallback(&self) -> Option<ShardFallback> {
-        (self.arrivals == ArrivalMode::Preloaded).then_some(ShardFallback::PreloadedArrivals)
-    }
 }
 
 impl Default for SimConfig {
@@ -341,12 +243,13 @@ mod tests {
     fn builder_combinators() {
         let cfg = SimConfig::paper_default()
             .with_threshold(ThresholdPolicy::Fixed(600.0))
-            .with_cache(CacheConfig::paper_16gb())
-            .with_arrival_mode(ArrivalMode::Preloaded)
+            .with_cache_hierarchy(Some(CacheHierarchyConfig::paper_16gb()))
             .with_disk(DiskSpec::archival_5400());
         assert_eq!(cfg.threshold, ThresholdPolicy::Fixed(600.0));
-        assert_eq!(cfg.cache.unwrap().capacity_bytes, 16 * 1_000_000_000);
-        assert_eq!(cfg.arrivals, ArrivalMode::Preloaded);
+        assert_eq!(
+            cfg.cache_hierarchy.unwrap().total_capacity_bytes(),
+            16 * 1_000_000_000
+        );
         assert_eq!(cfg.disk.model, DiskSpec::archival_5400().model);
     }
 
@@ -355,31 +258,25 @@ mod tests {
         use crate::hierarchy::{CachePolicyChoice, CacheScope, CacheTierConfig};
         let cfg = SimConfig::paper_default();
         assert!(cfg.cache_hierarchy.is_none());
-        assert!(cfg.effective_cache_hierarchy().is_none());
 
-        // The legacy field lowers to its single-tier LRU equivalent…
-        let legacy = cfg.clone().with_cache(CacheConfig::paper_16gb());
-        let lowered = legacy.effective_cache_hierarchy().unwrap();
-        assert_eq!(lowered.tiers.len(), 1);
-        assert_eq!(lowered.tiers[0].capacity_bytes, 16 * 1_000_000_000);
-        assert_eq!(lowered.tiers[0].policy, CachePolicyChoice::Lru);
-        assert_eq!(lowered.scope, CacheScope::Global);
-        assert_eq!(legacy.shard_fallback(), None, "global caches now shard");
+        // §5.1's flat 16 GB cache is a single global LRU tier at 1 GB/s…
+        let paper = CacheHierarchyConfig::paper_16gb();
+        assert_eq!(paper.tiers.len(), 1);
+        assert_eq!(paper.tiers[0].capacity_bytes, 16 * 1_000_000_000);
+        assert_eq!(paper.tiers[0].bandwidth_bps, 1.0e9);
+        assert_eq!(paper.tiers[0].policy, CachePolicyChoice::Lru);
+        assert_eq!(paper.scope, CacheScope::Global);
 
-        // …and an explicit hierarchy takes precedence over nothing.
+        // …and the builder sets (and clears) any hierarchy.
         let tier = CacheTierConfig::dram(4_000_000_000, CachePolicyChoice::Lfu);
         let cfg = cfg.with_cache_hierarchy(Some(
             CacheHierarchyConfig::single(tier).with_scope(CacheScope::PerDisk),
         ));
-        let eff = cfg.effective_cache_hierarchy().unwrap();
-        assert_eq!(eff.tiers[0].policy, CachePolicyChoice::Lfu);
-        assert_eq!(cfg.shard_fallback(), None);
-    }
-
-    #[test]
-    fn arrivals_default_to_streamed() {
-        assert_eq!(SimConfig::paper_default().arrivals, ArrivalMode::Streamed);
-        assert_eq!(ArrivalMode::default(), ArrivalMode::Streamed);
+        assert_eq!(
+            cfg.cache_hierarchy.as_ref().unwrap().tiers[0].policy,
+            CachePolicyChoice::Lfu
+        );
+        assert!(cfg.with_cache_hierarchy(None).cache_hierarchy.is_none());
     }
 
     #[test]
@@ -406,33 +303,6 @@ mod tests {
         let cfg = cfg.with_faults(plan.clone());
         assert_eq!(cfg.faults, plan);
         assert!(!cfg.faults.is_none());
-    }
-
-    #[test]
-    fn shard_fallback_names_the_coupling_feature() {
-        let cfg = SimConfig::paper_default();
-        assert_eq!(cfg.shard_fallback(), None);
-        assert_eq!(
-            cfg.clone()
-                .with_cache(CacheConfig::paper_16gb())
-                .shard_fallback(),
-            None,
-            "global caches shard (budget-partitioned by file residency)"
-        );
-        assert_eq!(
-            cfg.clone().with_completion_log().shard_fallback(),
-            None,
-            "the completion log streams and k-way merges"
-        );
-        assert_eq!(
-            cfg.with_arrival_mode(ArrivalMode::Preloaded)
-                .shard_fallback(),
-            Some(ShardFallback::PreloadedArrivals)
-        );
-        assert_eq!(
-            ShardFallback::PreloadedArrivals.to_string(),
-            "preloaded arrival scheduling"
-        );
     }
 
     #[test]

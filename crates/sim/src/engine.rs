@@ -4,9 +4,9 @@
 //!
 //! ## Semantics (matching §4 of the paper)
 //!
-//! - A request is dispatched to the disk holding its file. If a cache is
-//!   configured — the legacy flat LRU or a multi-tier
-//!   [`CacheHierarchy`](crate::hierarchy::CacheHierarchy) — the whole file
+//! - A request is dispatched to the disk holding its file. If a cache
+//!   [`CacheHierarchy`](crate::hierarchy::CacheHierarchy) is configured —
+//!   §5.1's flat LRU or several tiers — the whole file
 //!   is looked up first, tier by tier; a hit is served at the hit tier's
 //!   bandwidth without touching the disk (in particular the disk's idle
 //!   clock keeps running — a cache's entire contribution to the power
@@ -40,25 +40,31 @@
 //!
 //! ## Arrival scheduling
 //!
-//! By default ([`ArrivalMode::Streamed`]) the engine never materialises
-//! arrivals in the event heap: it keeps a cursor into the time-sorted trace
-//! and, on every step, compares the next arrival against the next scheduled
-//! event, processing whichever is earlier (arrivals win ties — exactly the
-//! order the original preloading produced, since arrivals were scheduled
-//! before any other event and ties break by insertion sequence). The heap
-//! then holds only `PhaseDone`/`SpinDownTimer` entries — O(disks), not
-//! O(requests) — which is what makes multi-million-request replays cheap.
-//! [`ArrivalMode::Preloaded`] retains the original schedule-everything
-//! behaviour for benchmarks; both modes produce bit-identical reports.
+//! Arrivals never enter the event heap. The engine reads them from a
+//! [`TraceSource`] — an in-memory cursor over a [`Trace`], a buffered CSV
+//! reader or a seeded synthetic generator — and, on every step, compares
+//! the source's next arrival time against the next scheduled event,
+//! processing whichever is earlier. **Arrivals win ties**: a request
+//! arriving exactly at a spin-down deadline cancels the descent, and one
+//! arriving exactly when a phase completes is queued before that
+//! completion is handled. The heap then holds only the disks' own events
+//! (`PhaseDone`, `SpinDownTimer` and the fault-injection events) —
+//! O(disks), not O(requests) — so a multi-billion-request replay holds
+//! O(disks) simulation state (plus O(buckets) for histogram metrics).
+//! Response times come from the arrival stamp each queue entry carries,
+//! never from indexing back into a materialised request list, and a
+//! request for a file the assignment does not place fails with
+//! [`SimError::UnmappedFile`] when it arrives.
 //!
-//! The arrival cursor itself is a [`TraceSource`]: handing the engine a
-//! `&Trace` reads through an in-memory cursor, while
-//! [`Simulator::run_from_source`] accepts any source — a buffered CSV
-//! reader or a seeded synthetic generator — so a multi-billion-request
-//! replay holds O(disks) simulation state (plus O(buckets) for histogram
-//! metrics) instead of the trace itself. Response times come from the
-//! arrival stamp each queue entry carries, never from indexing back into a
-//! materialised request list.
+//! ## Entry points
+//!
+//! - [`Simulator::run`] — an in-memory [`Trace`] over exactly the disks
+//!   the assignment uses, with the configured fixed-threshold policy.
+//! - [`Simulator::run_from_source`] — any [`TraceSource`] over an explicit
+//!   fleet (the paper's experiments keep 100 disks spinning however many
+//!   the allocator loaded), with the configured fixed-threshold policy.
+//! - [`Simulator::run_with_policy`] — the general form the other two call:
+//!   any source, any fleet, and a [`PowerPolicy`] factory.
 //!
 //! ## Sharded replay
 //!
@@ -66,14 +72,16 @@
 //! `cfg.shards > 1` partitions the fleet by disk id (`disk % shards`),
 //! runs one event loop per shard on its own thread and merges the
 //! per-shard reports — see [`crate::shard`] for the merge rules and the
-//! determinism argument. Global-scope caches shard too: each shard owns
-//! the `shard_fleet / fleet` slice of the configured budget that fronts
-//! its own disks' files, keeping the tier walk lock-free. The completion
-//! log streams through per-shard writers k-way merged by `(time, req)`
-//! ([`crate::complog`]). Only preloaded arrivals still force one shard
-//! (the whole trace lands in one event heap by definition).
-//! Histogram-mode metrics, energy totals, cache statistics and the
-//! completion log are bit-identical at every shard count.
+//! determinism argument. Every entry point shards the same way: the
+//! calling thread demultiplexes the source into bounded per-shard channels
+//! ([`spindown_workload::demux`]), so the trace is read exactly once.
+//! Global-scope caches shard too: each shard owns the `shard_fleet /
+//! fleet` slice of the configured budget that fronts its own disks'
+//! files, keeping the tier walk lock-free. The completion log streams
+//! through per-shard writers k-way merged by `(time, req)`
+//! ([`crate::complog`]). Histogram-mode metrics, energy totals, cache
+//! statistics and the completion log are bit-identical at every shard
+//! count.
 
 use spindown_disk::state::TransitionError;
 use spindown_packing::Assignment;
@@ -82,7 +90,7 @@ use spindown_workload::{FileCatalog, FileId, InMemorySource, Request, Trace, Tra
 
 use crate::actor::{DiskActor, Phase};
 use crate::complog::{CompletionOut, CompletionSink, CompletionWriter};
-use crate::config::{ArrivalMode, SimConfig};
+use crate::config::SimConfig;
 use crate::event::{Event, EventQueue};
 use crate::fault::{FaultRuntime, PendingRetry};
 use crate::hierarchy::{CacheHierarchy, CacheScope};
@@ -109,10 +117,6 @@ pub enum SimError {
     /// The streaming trace source failed mid-replay (I/O error, malformed
     /// or out-of-order row).
     Source(TraceIoError),
-    /// Both the legacy `cache` field and a `cache_hierarchy` were set —
-    /// the configuration is ambiguous (the legacy field *is* a single-tier
-    /// hierarchy; pick one representation).
-    ConflictingCacheConfig,
     /// The streamed completion log could not be written (file creation or
     /// flush failure).
     CompletionLogIo(std::io::Error),
@@ -127,10 +131,6 @@ impl std::fmt::Display for SimError {
             }
             SimError::Transition(e) => write!(f, "disk state machine error: {e}"),
             SimError::Source(e) => write!(f, "trace source failed: {e}"),
-            SimError::ConflictingCacheConfig => write!(
-                f,
-                "both `cache` and `cache_hierarchy` are set; configure one"
-            ),
             SimError::CompletionLogIo(e) => write!(f, "completion log I/O failed: {e}"),
         }
     }
@@ -192,8 +192,7 @@ struct TimerState {
 enum CacheFront {
     /// No cache configured.
     None,
-    /// One shared hierarchy in front of the dispatcher (the legacy flat
-    /// LRU lowers to a single-tier instance of this).
+    /// One shared hierarchy in front of the dispatcher.
     Global(CacheHierarchy),
     /// One private slice per *local* disk, each `capacity / global fleet`
     /// of the configured budgets — indexed by actor, so a shard only holds
@@ -201,17 +200,13 @@ enum CacheFront {
     PerDisk(Vec<CacheHierarchy>),
 }
 
-/// The discrete-event simulator, generic over the arrival feed so the
-/// in-memory hot path stays monomorphised (no per-arrival dynamic
-/// dispatch) while CSV readers and synthetic generators plug in through
-/// [`Simulator::run_from_source`].
+/// The discrete-event simulator, generic over the arrival feed so every
+/// source — in-memory cursor, CSV reader, synthetic generator, demux
+/// receiver — runs a monomorphised loop (no per-arrival dynamic dispatch).
 pub struct Simulator<'a, S: TraceSource> {
     catalog: &'a FileCatalog,
     /// The streamed arrival cursor.
     source: S,
-    /// The materialised trace, when there is one — required by (and only
-    /// by) [`ArrivalMode::Preloaded`], whose `Arrival` events index into it.
-    trace: Option<&'a Trace>,
     cfg: &'a SimConfig,
     file_to_disk: Vec<usize>,
     actors: Vec<DiskActor>,
@@ -250,145 +245,27 @@ pub struct Simulator<'a, S: TraceSource> {
 }
 
 impl<'a> Simulator<'a, InMemorySource<'a>> {
-    /// Run a simulation over exactly the disks the assignment uses.
+    /// Run an in-memory trace over exactly the disks the assignment uses,
+    /// with the fixed-threshold policy configured in `cfg.threshold`.
     pub fn run(
         catalog: &'a FileCatalog,
         trace: &'a Trace,
         assignment: &Assignment,
         cfg: &'a SimConfig,
     ) -> Result<SimReport, SimError> {
-        Self::run_with_fleet(catalog, trace, assignment, cfg, assignment.disk_slots())
-    }
-
-    /// Run with an explicit fleet size ≥ the assignment's disk count — the
-    /// paper's synthetic experiments keep 100 disks spinning regardless of
-    /// how many the allocator loaded (the empty ones just go to standby).
-    /// The spin-down policy is the fixed-threshold family configured in
-    /// `cfg.threshold`; use [`Simulator::run_with_policy`] to plug in any
-    /// other [`PowerPolicy`].
-    ///
-    /// A fleet of exactly zero disks is accepted only for an assignment
-    /// using zero slots (and, transitively, an empty trace): the simulation
-    /// then covers no disks and reports `disks == 0` — it no longer rounds
-    /// the fleet up to one silently.
-    pub fn run_with_fleet(
-        catalog: &'a FileCatalog,
-        trace: &'a Trace,
-        assignment: &Assignment,
-        cfg: &'a SimConfig,
-        fleet: usize,
-    ) -> Result<SimReport, SimError> {
-        Self::run_sharded(catalog, trace, assignment, cfg, fleet, |_| {
-            Box::new(TimeoutPolicy::from_config(cfg.threshold, &cfg.disk))
-        })
-    }
-
-    /// Run with a per-shard [`PowerPolicy`] factory, sharding the fleet
-    /// over `cfg.shards` threads (disk `d` → shard `d % shards`; the count
-    /// is clamped to the fleet; global-scope caches and the completion
-    /// log both compose — only preloaded arrivals fall back to one
-    /// shard). `factory(s)` builds shard `s`'s policy instance;
-    /// it is called once per shard in shard order and each instance sees
-    /// *global* disk ids, so per-disk-state policies behave identically at
-    /// any shard count. (Policies sharing randomness *across* disks — e.g.
-    /// one RNG stream consulted fleet-wide — see a different interleaving
-    /// per shard count and are not shard-count-invariant.)
-    ///
-    /// Histogram-mode metrics and all energy totals are bit-identical for
-    /// every shard count; exact-mode quantiles are bit-identical while the
-    /// global mean may differ by float-summation order.
-    pub fn run_sharded(
-        catalog: &'a FileCatalog,
-        trace: &'a Trace,
-        assignment: &Assignment,
-        cfg: &'a SimConfig,
-        fleet: usize,
-        mut factory: impl FnMut(usize) -> Box<dyn PowerPolicy>,
-    ) -> Result<SimReport, SimError> {
-        let shards = crate::shard::effective_shards(cfg, fleet);
-        if shards <= 1 {
-            return Self::run_with_policy(catalog, trace, assignment, cfg, fleet, factory(0));
-        }
-        let required = assignment.disk_slots();
-        if fleet < required {
-            return Err(SimError::FleetTooSmall { required, fleet });
-        }
-        let file_to_disk = assignment.item_to_disk(catalog.len());
-        for r in trace.requests() {
-            if file_to_disk
-                .get(r.file.index())
-                .copied()
-                .unwrap_or(usize::MAX)
-                == usize::MAX
-            {
-                return Err(SimError::UnmappedFile { file: r.file });
-            }
-        }
-        crate::shard::run_partitioned_trace(
-            catalog,
-            trace,
-            &file_to_disk,
-            cfg,
-            fleet,
-            shards,
-            &mut factory,
-        )
-    }
-
-    /// Run with an explicit [`PowerPolicy`]. The policy is consumed: a
-    /// fresh (identically seeded) instance must be built per run, which is
-    /// what makes randomised policies reproducible. Always single-threaded
-    /// (one policy instance cannot be split across shards) — use
-    /// [`Simulator::run_sharded`] with a factory for the sharded path.
-    pub fn run_with_policy(
-        catalog: &'a FileCatalog,
-        trace: &'a Trace,
-        assignment: &Assignment,
-        cfg: &'a SimConfig,
-        fleet: usize,
-        policy: Box<dyn PowerPolicy>,
-    ) -> Result<SimReport, SimError> {
-        // Validate up front that every requested file is mapped — the
-        // materialised trace makes this checkable before any simulation.
-        let file_to_disk = assignment.item_to_disk(catalog.len());
-        for r in trace.requests() {
-            if file_to_disk
-                .get(r.file.index())
-                .copied()
-                .unwrap_or(usize::MAX)
-                == usize::MAX
-            {
-                return Err(SimError::UnmappedFile { file: r.file });
-            }
-        }
-        Simulator::run_impl(
+        Self::run_from_source(
             catalog,
             InMemorySource::new(trace),
-            Some(trace),
-            file_to_disk,
             assignment,
             cfg,
-            fleet,
-            policy,
+            assignment.disk_slots(),
         )
     }
 }
 
 impl<'a, S: TraceSource + Send> Simulator<'a, S> {
-    /// Run with arrivals streamed from any [`TraceSource`] — a CSV file
-    /// reader, a seeded synthetic generator, or an in-memory cursor. The
-    /// spin-down policy is the fixed-threshold family configured in
-    /// `cfg.threshold`.
-    ///
-    /// Unlike [`Simulator::run`], unmapped files surface when their request
-    /// arrives (the stream cannot be pre-validated without materialising
-    /// it). With [`ArrivalMode::Preloaded`] the source *is* materialised
-    /// first — preloading is O(requests) memory by definition.
-    ///
-    /// Honours `cfg.shards`: with more than one (effective) shard the
-    /// source is demultiplexed by a single reader thread into bounded
-    /// per-shard channels — the underlying file or generator is read
-    /// exactly once — and the shards replay concurrently.
+    /// Run arrivals from any [`TraceSource`] over a fleet of `fleet` disks,
+    /// with the fixed-threshold policy configured in `cfg.threshold`.
     pub fn run_from_source(
         catalog: &'a FileCatalog,
         source: S,
@@ -396,15 +273,34 @@ impl<'a, S: TraceSource + Send> Simulator<'a, S> {
         cfg: &'a SimConfig,
         fleet: usize,
     ) -> Result<SimReport, SimError> {
-        Self::run_from_source_sharded(catalog, source, assignment, cfg, fleet, |_| {
+        Self::run_with_policy(catalog, source, assignment, cfg, fleet, |_| {
             Box::new(TimeoutPolicy::from_config(cfg.threshold, &cfg.disk))
         })
     }
 
-    /// [`Simulator::run_from_source`] with a per-shard [`PowerPolicy`]
-    /// factory — the streaming twin of [`Simulator::run_sharded`], with
-    /// the same shard assignment, fallbacks and determinism guarantees.
-    pub fn run_from_source_sharded(
+    /// The general entry point: arrivals from any [`TraceSource`], a fleet
+    /// of `fleet` ≥ the assignment's disk slots (the extra disks hold no
+    /// files and just go to standby), and a [`PowerPolicy`] factory.
+    ///
+    /// The run shards over `cfg.shards` threads (disk `d` → shard
+    /// `d % shards`; the count is clamped to the fleet). `factory(s)`
+    /// builds shard `s`'s policy; it is called once per shard, in shard
+    /// order, on the calling thread — once in total for an unsharded run —
+    /// and each instance sees *global* disk ids, so per-disk-state policies
+    /// behave identically at any shard count. A fresh (identically seeded)
+    /// policy per run is what makes randomised policies reproducible.
+    /// (Policies sharing randomness *across* disks — one RNG stream
+    /// consulted fleet-wide — see a different interleaving per shard count
+    /// and are not shard-count-invariant.)
+    ///
+    /// Histogram-mode metrics and all energy totals are bit-identical for
+    /// every shard count; exact-mode quantiles are bit-identical while the
+    /// global mean may differ by float-summation order.
+    ///
+    /// A fleet of exactly zero disks is accepted only for an assignment
+    /// using zero slots (and, transitively, an empty trace): the simulation
+    /// then covers no disks and reports `disks == 0`.
+    pub fn run_with_policy(
         catalog: &'a FileCatalog,
         source: S,
         assignment: &Assignment,
@@ -412,102 +308,41 @@ impl<'a, S: TraceSource + Send> Simulator<'a, S> {
         fleet: usize,
         mut factory: impl FnMut(usize) -> Box<dyn PowerPolicy>,
     ) -> Result<SimReport, SimError> {
+        let required = assignment.disk_slots();
+        if fleet < required {
+            return Err(SimError::FleetTooSmall { required, fleet });
+        }
+        let file_to_disk = assignment.item_to_disk(catalog.len());
         let shards = crate::shard::effective_shards(cfg, fleet);
-        if shards <= 1 {
-            return Self::run_from_source_with_policy(
+        if shards > 1 {
+            return crate::shard::replay(
                 catalog,
                 source,
-                assignment,
+                &file_to_disk,
                 cfg,
                 fleet,
-                factory(0),
+                shards,
+                &mut factory,
             );
-        }
-        let required = assignment.disk_slots();
-        if fleet < required {
-            return Err(SimError::FleetTooSmall { required, fleet });
-        }
-        let file_to_disk = assignment.item_to_disk(catalog.len());
-        crate::shard::run_demuxed_source(
-            catalog,
-            source,
-            &file_to_disk,
-            cfg,
-            fleet,
-            shards,
-            &mut factory,
-        )
-    }
-}
-
-impl<'a, S: TraceSource> Simulator<'a, S> {
-    /// [`Simulator::run_from_source`] with an explicit [`PowerPolicy`].
-    /// Always single-threaded, like [`Simulator::run_with_policy`].
-    pub fn run_from_source_with_policy(
-        catalog: &'a FileCatalog,
-        mut source: S,
-        assignment: &Assignment,
-        cfg: &'a SimConfig,
-        fleet: usize,
-        policy: Box<dyn PowerPolicy>,
-    ) -> Result<SimReport, SimError> {
-        if cfg.arrivals == ArrivalMode::Preloaded {
-            // Preloading schedules every arrival up front, which requires
-            // the materialised request list anyway: drain the source once
-            // and run the in-memory engine over it.
-            let horizon = source.horizon();
-            let mut requests = Vec::new();
-            while let Some(r) = source.next_request()? {
-                requests.push(r);
-            }
-            let trace = Trace::new(requests, horizon);
-            return Simulator::run_with_policy(catalog, &trace, assignment, cfg, fleet, policy);
-        }
-        let file_to_disk = assignment.item_to_disk(catalog.len());
-        Self::run_impl(
-            catalog,
-            source,
-            None,
-            file_to_disk,
-            assignment,
-            cfg,
-            fleet,
-            policy,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_impl(
-        catalog: &'a FileCatalog,
-        source: S,
-        trace: Option<&'a Trace>,
-        file_to_disk: Vec<usize>,
-        assignment: &Assignment,
-        cfg: &'a SimConfig,
-        fleet: usize,
-        policy: Box<dyn PowerPolicy>,
-    ) -> Result<SimReport, SimError> {
-        let required = assignment.disk_slots();
-        if fleet < required {
-            return Err(SimError::FleetTooSmall { required, fleet });
         }
         let sim = Self::run_drained(
             catalog,
             source,
-            trace,
             file_to_disk,
             cfg,
             fleet,
             fleet,
             0,
             1,
-            policy,
+            factory(0),
             None,
         )?;
         let t_end = sim.horizon.max(sim.last_event_time);
         sim.finish_at(t_end)
     }
+}
 
+impl<'a, S: TraceSource> Simulator<'a, S> {
     /// Construct the simulator, prime it and drive the event loop to
     /// exhaustion, returning the drained simulator *without* finishing it —
     /// the sharded driver needs every shard drained before the common end
@@ -529,7 +364,6 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
     pub(crate) fn run_drained(
         catalog: &'a FileCatalog,
         source: S,
-        trace: Option<&'a Trace>,
         file_to_disk: Vec<usize>,
         cfg: &'a SimConfig,
         fleet: usize,
@@ -539,10 +373,7 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
         policy: Box<dyn PowerPolicy>,
         log_tx: Option<std::sync::mpsc::SyncSender<Vec<Completion>>>,
     ) -> Result<Self, SimError> {
-        if cfg.cache.is_some() && cfg.cache_hierarchy.is_some() {
-            return Err(SimError::ConflictingCacheConfig);
-        }
-        let cache = match cfg.effective_cache_hierarchy() {
+        let cache = match &cfg.cache_hierarchy {
             None => CacheFront::None,
             Some(h) => match h.scope {
                 // This engine instance fronts `fleet` of the
@@ -573,7 +404,6 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
         let mut sim = Simulator {
             catalog,
             source,
-            trace,
             cfg,
             file_to_disk,
             actors: (0..fleet)
@@ -634,18 +464,8 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
         self.complog.as_ref().map_or(0, |w| w.peak_buffered())
     }
 
-    /// Schedule the initial idle timers — and, in preloaded mode, every
-    /// arrival up front.
+    /// Schedule the initial idle timers and any scheduled crashes.
     fn prime(&mut self) {
-        if self.cfg.arrivals == ArrivalMode::Preloaded {
-            let trace = self
-                .trace
-                .expect("preloaded mode implies a materialised trace");
-            for (i, r) in trace.requests().iter().enumerate() {
-                self.events.schedule(r.time, Event::Arrival { req: i });
-            }
-            self.arrived = trace.len();
-        }
         for disk in 0..self.actors.len() {
             self.arm_timer(disk, 0, 0.0);
         }
@@ -723,21 +543,17 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
     }
 
     fn drive(&mut self) -> Result<(), SimError> {
-        let streamed = self.cfg.arrivals == ArrivalMode::Streamed;
         loop {
             self.peak_events = self.peak_events.max(self.events.len());
-            // Streamed arrivals: take the source head whenever it is due no
-            // later than the next scheduled event. Arrivals win ties, which
-            // reproduces the preloaded order (arrivals were scheduled first
-            // and ties break by insertion sequence).
-            let arrival_due = streamed
-                && match self.source.peek_time()? {
-                    Some(ta) => match self.events.peek_time() {
-                        Some(te) => ta <= te,
-                        None => true,
-                    },
-                    None => false,
-                };
+            // Take the source head whenever it is due no later than the
+            // next scheduled event: arrivals win ties.
+            let arrival_due = match self.source.peek_time()? {
+                Some(ta) => match self.events.peek_time() {
+                    Some(te) => ta <= te,
+                    None => true,
+                },
+                None => false,
+            };
             if arrival_due {
                 // Sources that know the request's ordinal in the original
                 // (undemuxed) trace report it through `peek_seq`, so
@@ -759,13 +575,6 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
             };
             self.last_event_time = self.last_event_time.max(t);
             match ev {
-                Event::Arrival { req } => {
-                    let r = self
-                        .trace
-                        .expect("preloaded arrivals imply a materialised trace")
-                        .requests()[req];
-                    self.on_arrival(t, req, r)?
-                }
                 Event::PhaseDone { disk } => self.on_phase_done(t, disk)?,
                 Event::SpinDownTimer { disk, generation } => self.on_timer(t, disk, generation)?,
                 Event::Crash { disk } => self.on_crash(t, disk)?,
@@ -777,9 +586,8 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
     }
 
     fn on_arrival(&mut self, t: f64, req: usize, r: Request) -> Result<(), SimError> {
-        // Streamed sources cannot be pre-validated; check the mapping here
-        // (a no-op failure-wise for materialised traces, which were
-        // validated up front).
+        // Sources cannot be pre-validated without a second pass; check the
+        // mapping as each request arrives.
         let disk = match self.file_to_disk.get(r.file.index()).copied() {
             Some(d) if d != usize::MAX => d,
             _ => return Err(SimError::UnmappedFile { file: r.file }),
@@ -1288,7 +1096,8 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
                 // absorption bit for bit.
                 let depth = self
                     .cfg
-                    .effective_cache_hierarchy()
+                    .cache_hierarchy
+                    .as_ref()
                     .map_or(0, |h| h.tiers.len());
                 let rows: Vec<Vec<crate::cache::CacheStats>> =
                     slices.iter().map(|s| s.tier_stats()).collect();
@@ -1346,7 +1155,8 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CacheConfig, ThresholdPolicy};
+    use crate::config::ThresholdPolicy;
+    use crate::hierarchy::{CacheHierarchyConfig, CachePolicyChoice, CacheTierConfig};
     use spindown_disk::PowerState;
     use spindown_packing::{Assignment, DiskBin};
     use spindown_workload::trace::Request;
@@ -1382,6 +1192,25 @@ mod tests {
 
     fn service_time_72mb() -> f64 {
         1.0 + 0.0085 + 0.00416 // 72 MB at 72 MB/s + positioning
+    }
+
+    /// One global DRAM-speed LRU tier of `capacity_bytes`.
+    fn lru(capacity_bytes: u64) -> Option<CacheHierarchyConfig> {
+        Some(CacheHierarchyConfig::single(CacheTierConfig::dram(
+            capacity_bytes,
+            CachePolicyChoice::Lru,
+        )))
+    }
+
+    /// [`Simulator::run_from_source`] over an in-memory trace.
+    fn run_fleet(
+        cat: &FileCatalog,
+        tr: &Trace,
+        a: &Assignment,
+        cfg: &SimConfig,
+        fleet: usize,
+    ) -> Result<SimReport, SimError> {
+        Simulator::run_from_source(cat, InMemorySource::new(tr), a, cfg, fleet)
     }
 
     #[test]
@@ -1497,10 +1326,7 @@ mod tests {
         let cat = catalog(1, 100 * MB);
         let cfg = SimConfig::paper_default()
             .with_threshold(ThresholdPolicy::Never)
-            .with_cache(CacheConfig {
-                capacity_bytes: 1_000 * MB,
-                bandwidth_bps: 1.0e9,
-            });
+            .with_cache_hierarchy(lru(1_000 * MB));
         let tr = trace(&[(0.0, 0), (50.0, 0)], 100.0);
         let report = Simulator::run(&cat, &tr, &assignment(&[0]), &cfg).unwrap();
         let stats = report.cache.unwrap();
@@ -1521,7 +1347,7 @@ mod tests {
         let cat = catalog(1, 10 * MB);
         let cfg = SimConfig::paper_default().with_threshold(ThresholdPolicy::Fixed(10.0));
         let tr = trace(&[(1.0, 0)], 500.0);
-        let report = Simulator::run_with_fleet(&cat, &tr, &assignment(&[0]), &cfg, 5).unwrap();
+        let report = run_fleet(&cat, &tr, &assignment(&[0]), &cfg, 5).unwrap();
         assert_eq!(report.disks, 5);
         // all 5 disks eventually spin down (the loaded one after its service)
         assert_eq!(report.spin_downs, 5);
@@ -1532,19 +1358,22 @@ mod tests {
 
     #[test]
     fn unmapped_file_is_an_error() {
-        let cat = catalog(2, MB);
-        let tr = trace(&[(0.0, 1)], 10.0);
-        let cfg = SimConfig::paper_default();
-        // assignment only covers file 0 — file 1 unmapped
-        let a = Assignment {
-            disks: vec![DiskBin {
-                items: vec![0],
-                total_s: 0.0,
-                total_l: 0.0,
-            }],
-        };
-        let err = Simulator::run(&cat, &tr, &a, &cfg).unwrap_err();
-        assert!(matches!(err, SimError::UnmappedFile { file } if file == FileId(1)));
+        let cat = catalog(6, MB);
+        // Files 0–3 on disks 0–3; files 4 and 5 are unmapped. The first
+        // unmapped request (file 4 at t=2) is the one reported, whether
+        // the run is unsharded or demultiplexed over four shards.
+        let mut a = assignment(&[0, 1, 2, 3]);
+        a.disks[3].items.clear();
+        a.disks[3].items.push(3);
+        let tr = trace(&[(0.0, 0), (1.0, 3), (2.0, 4), (3.0, 5), (4.0, 1)], 10.0);
+        for shards in [1, 4] {
+            let cfg = SimConfig::paper_default().with_shards(shards);
+            let err = Simulator::run(&cat, &tr, &a, &cfg).unwrap_err();
+            assert!(
+                matches!(err, SimError::UnmappedFile { file } if file == FileId(4)),
+                "S={shards}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -1553,7 +1382,7 @@ mod tests {
         let tr = trace(&[], 1.0);
         let cfg = SimConfig::paper_default();
         let a = assignment(&[0, 1]);
-        let err = Simulator::run_with_fleet(&cat, &tr, &a, &cfg, 1).unwrap_err();
+        let err = run_fleet(&cat, &tr, &a, &cfg, 1).unwrap_err();
         assert!(matches!(
             err,
             SimError::FleetTooSmall {
@@ -1603,7 +1432,7 @@ mod tests {
         assert_eq!(r1.responses, r2.responses);
     }
 
-    /// Reports must agree bit-for-bit across arrival modes.
+    /// Reports must agree bit-for-bit.
     fn assert_reports_identical(a: &SimReport, b: &SimReport) {
         assert_eq!(a.sim_time_s, b.sim_time_s);
         assert_eq!(a.energy.total_joules(), b.energy.total_joules());
@@ -1619,46 +1448,66 @@ mod tests {
         }
     }
 
+    /// Arrivals win ties against same-time scheduled events, pinned with
+    /// hand-computed numbers on one disk under a 30 s fixed threshold
+    /// (spin-down 10 s, spin-up 15 s).
     #[test]
-    fn streamed_and_preloaded_arrivals_are_bit_identical() {
-        let cat = catalog(4, 30 * MB);
-        let tr = Trace::poisson(&cat, 2.0, 500.0, 13);
-        let a = assignment(&[0, 1, 2, 3]);
-        for threshold in [
-            ThresholdPolicy::Never,
-            ThresholdPolicy::BreakEven,
-            ThresholdPolicy::Fixed(5.0),
-            ThresholdPolicy::Fixed(120.0),
-        ] {
-            let streamed = SimConfig::paper_default().with_threshold(threshold);
-            let preloaded = streamed.clone().with_arrival_mode(ArrivalMode::Preloaded);
-            let rs = Simulator::run(&cat, &tr, &a, &streamed).unwrap();
-            let rp = Simulator::run(&cat, &tr, &a, &preloaded).unwrap();
-            assert_reports_identical(&rs, &rp);
-        }
+    fn arrivals_win_ties_against_same_time_events() {
+        let cfg = SimConfig::paper_default().with_threshold(ThresholdPolicy::Fixed(30.0));
+        let s = service_time_72mb();
+
+        // Idle from t=0, so the spin-down deadline falls at exactly t=30.
+        // The request arriving then is handled first and cancels the
+        // descent: no spin-down, bare service time. (Horizon 60 keeps the
+        // post-service deadline, 30 + s + 30, from arming.)
+        let cat = catalog(1, 72 * MB);
+        let tr = trace(&[(30.0, 0)], 60.0);
+        let report = Simulator::run(&cat, &tr, &assignment(&[0]), &cfg).unwrap();
+        assert_eq!(report.spin_downs, 0);
+        assert_eq!(report.spin_ups, 0);
+        assert!((report.response_quantile(1.0) - s).abs() < 1e-9);
+
+        // The disk spins down 30..40. A 72 MB request at t=100 wakes it;
+        // the spin-up's PhaseDone falls at exactly t=115, when a 7.2 MB
+        // request arrives. Handled first, the small request is already
+        // queued when the spin-up completes, so shortest-job-first serves
+        // it ahead of the large one (which waited only 15 s, inside the
+        // 30 s aging bound). Had the PhaseDone gone first, the large
+        // request would already be in service.
+        let cat = FileCatalog::from_parts(vec![72 * MB, 72 * MB / 10], vec![0.5, 0.5]);
+        let tr = trace(&[(100.0, 0), (115.0, 1)], 130.0);
+        let sjf = cfg.with_discipline(crate::discipline::DisciplineChoice::sjf());
+        let report = Simulator::run(&cat, &tr, &assignment(&[0, 0]), &sjf).unwrap();
+        let small = 0.1 + 0.0085 + 0.00416;
+        let [lo, hi] = report.response_quantiles(&[0.0, 1.0])[..] else {
+            unreachable!("two quantiles requested")
+        };
+        assert!((lo - small).abs() < 1e-9, "small request {lo} vs {small}");
+        assert!(
+            (hi - (15.0 + small + s)).abs() < 1e-9,
+            "large request {hi} vs {}",
+            15.0 + small + s
+        );
+        assert_eq!(report.spin_downs, 1);
+        assert_eq!(report.spin_ups, 1);
     }
 
     #[test]
     fn streamed_and_preloaded_agree_with_cache_and_ties() {
-        // Simultaneous arrivals (ties) plus a cache exercise the tie-break
-        // rule: arrivals must process before any same-time disk event.
+        // Simultaneous arrivals (ties) in front of a cache that holds one
+        // 40 MB file: arrivals process before any same-time disk event and
+        // in trace order, so the LRU sees 0, 1, 0, 1, 1 — one hit.
         let cat = catalog(2, 40 * MB);
         let tr = trace(&[(0.0, 0), (0.0, 1), (0.0, 0), (30.0, 1), (30.0, 1)], 300.0);
         let a = assignment(&[0, 1]);
-        let streamed = SimConfig::paper_default()
+        let cfg = SimConfig::paper_default()
             .with_threshold(ThresholdPolicy::Fixed(30.0))
-            .with_cache(CacheConfig {
-                capacity_bytes: 50 * MB,
-                bandwidth_bps: 1.0e9,
-            });
-        let preloaded = streamed.clone().with_arrival_mode(ArrivalMode::Preloaded);
-        let rs = Simulator::run(&cat, &tr, &a, &streamed).unwrap();
-        let rp = Simulator::run(&cat, &tr, &a, &preloaded).unwrap();
-        assert_reports_identical(&rs, &rp);
-        assert_eq!(
-            rs.cache.as_ref().unwrap().hits,
-            rp.cache.as_ref().unwrap().hits
-        );
+            .with_cache_hierarchy(lru(50 * MB));
+        let report = Simulator::run(&cat, &tr, &a, &cfg).unwrap();
+        let cache = report.cache.as_ref().unwrap();
+        assert_eq!(cache.hits, 1);
+        assert_eq!(cache.misses, 4);
+        assert_eq!(report.responses.len(), 5);
     }
 
     #[test]
@@ -1678,20 +1527,6 @@ mod tests {
             streamed.disks
         );
         assert_eq!(streamed.per_shard_event_peaks.len(), 1, "one event loop");
-        let preloaded = Simulator::run(
-            &cat,
-            &tr,
-            &a,
-            &cfg.clone().with_arrival_mode(ArrivalMode::Preloaded),
-        )
-        .unwrap();
-        assert!(
-            preloaded.peak_event_queue_max() >= tr.len(),
-            "preloaded peak {} < trace {}",
-            preloaded.peak_event_queue_max(),
-            tr.len()
-        );
-        assert_reports_identical(&streamed, &preloaded);
     }
 
     #[test]
@@ -1700,7 +1535,7 @@ mod tests {
         let tr = Trace::new(vec![], 100.0);
         let cfg = SimConfig::paper_default();
         let empty = Assignment { disks: vec![] };
-        let report = Simulator::run_with_fleet(&cat, &tr, &empty, &cfg, 0).unwrap();
+        let report = run_fleet(&cat, &tr, &empty, &cfg, 0).unwrap();
         assert_eq!(report.disks, 0);
         assert_eq!(report.energy.total_joules(), 0.0);
         assert_eq!(report.energy.total_seconds(), 0.0);
@@ -1717,7 +1552,7 @@ mod tests {
         let tr = Trace::new(vec![], 100.0);
         let cfg = SimConfig::paper_default();
         let a = assignment(&[0]);
-        let err = Simulator::run_with_fleet(&cat, &tr, &a, &cfg, 0).unwrap_err();
+        let err = run_fleet(&cat, &tr, &a, &cfg, 0).unwrap_err();
         assert!(matches!(
             err,
             SimError::FleetTooSmall {
@@ -1766,15 +1601,17 @@ mod tests {
         let cfg = SimConfig::paper_default();
         let report = Simulator::run_with_policy(
             &cat,
-            &tr,
+            InMemorySource::new(&tr),
             &assignment(&[0]),
             &cfg,
             1,
-            Box::new(EagerCounter {
-                idles: 0,
-                arrivals: 0,
-                downs: 0,
-            }),
+            |_| {
+                Box::new(EagerCounter {
+                    idles: 0,
+                    arrivals: 0,
+                    downs: 0,
+                })
+            },
         )
         .unwrap();
         // Idle at t=0 → immediate spin-down; both requests find standby,
@@ -1787,21 +1624,17 @@ mod tests {
     }
 
     #[test]
-    fn run_with_policy_timeout_matches_run_with_fleet() {
+    fn run_with_policy_timeout_matches_run_from_source() {
         let cat = catalog(3, 20 * MB);
         let tr = Trace::poisson(&cat, 1.0, 400.0, 21);
         let a = assignment(&[0, 1, 2]);
         let cfg = SimConfig::paper_default().with_threshold(ThresholdPolicy::Fixed(40.0));
-        let via_cfg = Simulator::run_with_fleet(&cat, &tr, &a, &cfg, 3).unwrap();
-        let via_policy = Simulator::run_with_policy(
-            &cat,
-            &tr,
-            &a,
-            &cfg,
-            3,
-            Box::new(crate::policy::TimeoutPolicy::fixed(40.0)),
-        )
-        .unwrap();
+        let via_cfg = run_fleet(&cat, &tr, &a, &cfg, 3).unwrap();
+        let via_policy =
+            Simulator::run_with_policy(&cat, InMemorySource::new(&tr), &a, &cfg, 3, |_| {
+                Box::new(crate::policy::TimeoutPolicy::fixed(40.0))
+            })
+            .unwrap();
         assert_reports_identical(&via_cfg, &via_policy);
     }
 
@@ -1904,9 +1737,15 @@ mod tests {
         // 8), would descend to standby at t=38. The request at t=20 finds
         // the disk resting at low-RPM and pays only its (shorter) exit.
         let tr = trace(&[(20.0, 0)], 100.0);
-        let report =
-            Simulator::run_with_policy(&cat, &tr, &assignment(&[0]), &cfg, 1, Box::new(StepDown))
-                .unwrap();
+        let report = Simulator::run_with_policy(
+            &cat,
+            InMemorySource::new(&tr),
+            &assignment(&[0]),
+            &cfg,
+            1,
+            |_| Box::new(StepDown),
+        )
+        .unwrap();
         let expected = lad.level(1).exit_time_s + service_time_72mb();
         assert!(
             (report.response_quantile(1.0) - expected).abs() < 1e-9,
@@ -1927,9 +1766,15 @@ mod tests {
         // Request at t=300: by then the disk stepped 0 → 1 (t=5..8) and
         // 1 → 2 (t=38..48); it wakes from standby paying the full exit.
         let tr = trace(&[(300.0, 0)], 400.0);
-        let report =
-            Simulator::run_with_policy(&cat, &tr, &assignment(&[0]), &cfg, 1, Box::new(StepDown))
-                .unwrap();
+        let report = Simulator::run_with_policy(
+            &cat,
+            InMemorySource::new(&tr),
+            &assignment(&[0]),
+            &cfg,
+            1,
+            |_| Box::new(StepDown),
+        )
+        .unwrap();
         let expected = lad.level(2).exit_time_s + service_time_72mb();
         assert!(
             (report.response_quantile(1.0) - expected).abs() < 1e-9,

@@ -9,9 +9,9 @@
 //! A miss at every tier falls through to the dispatcher (and the file is
 //! now resident at every tier that could hold it).
 //!
-//! The hierarchy generalises the paper's §5.1 flat 16 GB LRU: a legacy
-//! [`CacheConfig`](crate::config::CacheConfig) is exactly a single-tier
-//! LRU hierarchy with [`CacheScope::Global`] (pinned bit-identical by
+//! The hierarchy generalises the paper's §5.1 flat 16 GB LRU, which is
+//! the single-tier global hierarchy [`CacheHierarchyConfig::paper_16gb`]
+//! (pinned against the pre-hierarchy fixture by
 //! `tests/cache_equivalence.rs`).
 //!
 //! ## Scope and sharding
@@ -22,7 +22,7 @@
 //! hosting its disk, so each shard owns a `shard_fleet / fleet` slice of
 //! every tier ([`CacheHierarchyConfig::build_fraction`]) and walks it
 //! with no locks on the hot path. At S=1 the slice is the whole budget,
-//! so the sharded-global deployment is bit-identical to the legacy
+//! so the sharded-global deployment is bit-identical to the unsharded
 //! shared front; across shard counts the hit/miss trajectory is
 //! partition-invariant whenever the working set fits the smallest slice
 //! (no evictions) — under eviction pressure per-slice LRU order can
@@ -38,7 +38,6 @@ use serde::{Deserialize, Serialize};
 use spindown_workload::FileId;
 
 use crate::cache::{CachePolicy, CacheStats, LfuCache, LruCache, SegmentedLru};
-use crate::config::CacheConfig;
 
 /// Which replacement policy a tier runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -109,7 +108,7 @@ pub struct CacheTierConfig {
 }
 
 impl CacheTierConfig {
-    /// A DRAM-speed tier (1 GB/s — the legacy §5.1 cache bandwidth).
+    /// A DRAM-speed tier (1 GB/s — the §5.1 cache bandwidth).
     pub fn dram(capacity_bytes: u64, policy: CachePolicyChoice) -> Self {
         CacheTierConfig {
             capacity_bytes,
@@ -166,14 +165,10 @@ impl CacheHierarchyConfig {
         Self::new(vec![tier])
     }
 
-    /// The exact hierarchy a legacy [`CacheConfig`] denotes: one global
-    /// LRU tier with the legacy capacity and bandwidth.
-    pub fn from_legacy(cache: &CacheConfig) -> Self {
-        Self::single(CacheTierConfig {
-            capacity_bytes: cache.capacity_bytes,
-            bandwidth_bps: cache.bandwidth_bps,
-            policy: CachePolicyChoice::Lru,
-        })
+    /// The paper's §5.1 cache: one global 16 GB LRU tier served at
+    /// memory-ish speed (1 GB/s).
+    pub fn paper_16gb() -> Self {
+        Self::single(CacheTierConfig::dram(16 * GB, CachePolicyChoice::Lru))
     }
 
     /// Switch the deployment scope.
@@ -203,7 +198,7 @@ impl CacheHierarchyConfig {
     /// partition the configured budget with no hot-path locks).
     /// `build_fraction(1, share)` is the per-disk slice [`Self::build`]
     /// hands out; `num == den` keeps the full budget (the unsharded
-    /// shared front, bit-identical to the legacy global deployment).
+    /// shared front).
     pub fn build_fraction(&self, num: u64, den: u64) -> CacheHierarchy {
         let den = den.max(1);
         let num = num.clamp(1, den);
@@ -402,7 +397,7 @@ mod tests {
 
     #[test]
     fn single_tier_walk_matches_the_flat_policy() {
-        let cfg = CacheHierarchyConfig::from_legacy(&CacheConfig::paper_16gb());
+        let cfg = CacheHierarchyConfig::paper_16gb();
         let mut h = cfg.build(1);
         let mut flat = LruCache::new(16 * GB);
         for &(id, size) in &[(1u32, 5 * GB), (2, 5 * GB), (1, 5 * GB), (3, 20 * GB)] {

@@ -27,8 +27,8 @@
 //!   ([`complog::CompletionLogMode`]): canonical `(time, req)`-ordered
 //!   records to memory, CSV or a digest, O(buffer) resident and merged
 //!   bit-identically across shards.
-//! - [`config`] — [`config::SimConfig`], the idleness-threshold
-//!   configuration and the arrival scheduling mode.
+//! - [`config`] — [`config::SimConfig`] and the idleness-threshold
+//!   configuration.
 //! - [`policy`] — the pluggable [`policy::PowerPolicy`] trait and the
 //!   fixed-timeout implementation; online policies plug in from
 //!   `spindown-analysis`.
@@ -47,8 +47,12 @@
 //!   transient I/O retries with capped exponential backoff, wake
 //!   failures, fail-slow windows and watermark load shedding, surfaced as
 //!   [`metrics::AvailabilityStats`] on the report.
-//! - [`engine`] — the [`engine::Simulator`] main loop (streamed arrivals by
-//!   default: O(disks) peak event-queue size).
+//! - [`engine`] — the [`engine::Simulator`] main loop and its three entry
+//!   points: [`engine::Simulator::run`] (an in-memory trace),
+//!   [`engine::Simulator::run_from_source`] (any arrival source, explicit
+//!   fleet) and [`engine::Simulator::run_with_policy`] (the general form,
+//!   with a policy factory). Arrivals stream from the source, so the event
+//!   queue peaks at O(disks).
 //! - `shard` (internal) — the sharded parallel replay driver behind
 //!   `SimConfig::with_shards`: the fleet partitions by disk id, each shard
 //!   runs its own event loop on its own thread, and the per-shard reports
@@ -64,22 +68,23 @@
 //! arrivals, so it can adapt online. On the default two-state ladder this
 //! reduces to the classic "how long until spin-down?" consultation. The
 //! paper's fixed-threshold family is [`policy::TimeoutPolicy`]; pass any
-//! custom implementation through [`engine::Simulator::run_with_policy`]:
+//! custom implementation through [`engine::Simulator::run_with_policy`],
+//! which takes a factory building one policy per replay shard:
 //!
 //! ```
 //! use spindown_packing::{Assignment, DiskBin};
 //! use spindown_sim::config::SimConfig;
 //! use spindown_sim::engine::Simulator;
 //! use spindown_sim::policy::TimeoutPolicy;
-//! use spindown_workload::{FileCatalog, Trace};
+//! use spindown_workload::{FileCatalog, InMemorySource, Trace};
 //!
 //! let catalog = FileCatalog::from_parts(vec![1_000_000], vec![1.0]);
 //! let trace = Trace::poisson(&catalog, 0.05, 400.0, 7);
 //! let assignment = Assignment { disks: vec![DiskBin { items: vec![0], total_s: 0.0, total_l: 0.0 }] };
 //! let cfg = SimConfig::paper_default();
 //! let report = Simulator::run_with_policy(
-//!     &catalog, &trace, &assignment, &cfg, 1,
-//!     Box::new(TimeoutPolicy::fixed(30.0)),
+//!     &catalog, InMemorySource::new(&trace), &assignment, &cfg, 1,
+//!     |_| Box::new(TimeoutPolicy::fixed(30.0)),
 //! ).unwrap();
 //! assert_eq!(report.responses.len(), trace.len());
 //! ```
@@ -119,7 +124,7 @@ pub mod windows;
 
 pub use cache::{CachePolicy, CacheStats, LfuCache, LruCache, SegmentedLru};
 pub use complog::{CompletionLogMode, CompletionLogSummary};
-pub use config::{ArrivalMode, CacheConfig, ShardFallback, SimConfig, ThresholdPolicy};
+pub use config::{SimConfig, ThresholdPolicy};
 pub use discipline::DisciplineChoice;
 pub use engine::{SimError, Simulator};
 pub use hierarchy::{

@@ -624,11 +624,11 @@ pub struct SimReport {
     /// Cache statistics, when a cache was configured. For a multi-tier
     /// hierarchy this is the aggregate view (hits summed over tiers,
     /// misses = requests missing *every* tier, so `hits + misses` still
-    /// counts every probed request); for the legacy flat LRU it is exactly
-    /// that cache's counters. Per-disk-scope runs sum over disk slices.
+    /// counts every probed request); for a flat single-tier cache it is
+    /// exactly that cache's counters. Per-disk-scope runs sum over disk slices.
     pub cache: Option<CacheStats>,
     /// Per-tier cache statistics, shallowest tier first, when a cache was
-    /// configured (a single row for the legacy flat LRU). Oversize
+    /// configured (a single row for a flat single-tier cache). Oversize
     /// rejections are counted per tier — a file can fit the SSD tier while
     /// exceeding the DRAM tier. Sharded and per-disk runs sum the
     /// counters in tier-then-ascending-global-disk order (the same
@@ -649,8 +649,8 @@ pub struct SimReport {
     pub per_disk_served: Vec<u64>,
     /// Per-shard peaks of the event heap, in shard order (one entry for
     /// an unsharded run). Each entry is that shard's largest number of
-    /// simultaneously pending events — O(shard disks) under streamed
-    /// arrivals, O(requests) when preloaded. Kept raw rather than
+    /// simultaneously pending events — O(shard disks), since arrivals
+    /// stream from the source and never enter the heap. Kept raw rather than
     /// pre-aggregated: [`Self::peak_event_queue_max`] is the tightest
     /// per-thread bound (what the O(disks) invariants check), while
     /// [`Self::peak_event_queue_sum`] is a deterministic upper bound on

@@ -1,12 +1,11 @@
 //! Property-based tests of the queue-discipline layer: every discipline
 //! only *reorders* work — it serves each request exactly once, per-disk
 //! completions stay time-ordered, and the FIFO discipline is bit-identical
-//! to the engine's default path (extending PR 1's `ArrivalMode`
-//! equivalence properties to the discipline dimension).
+//! to the engine's default path.
 
 use proptest::prelude::*;
 use spindown_packing::{Assignment, DiskBin};
-use spindown_sim::config::{ArrivalMode, SimConfig, ThresholdPolicy};
+use spindown_sim::config::{SimConfig, ThresholdPolicy};
 use spindown_sim::discipline::DisciplineChoice;
 use spindown_sim::engine::Simulator;
 use spindown_sim::metrics::SimReport;
@@ -221,22 +220,6 @@ proptest! {
         let fifo_cfg = default_cfg.clone().with_discipline(DisciplineChoice::Fifo);
         let a = run(&w, &default_cfg);
         let b = run(&w, &fifo_cfg);
-        assert_bit_identical(&a, &b);
-    }
-
-    // The streamed/preloaded equivalence of PR 1 must survive every
-    // discipline: both arrival modes drive the same dispatch points.
-    #[test]
-    fn streamed_matches_preloaded_under_every_discipline(
-        w in mini_workload(), d in discipline_strategy(), th in threshold_strategy()
-    ) {
-        let streamed = SimConfig::paper_default()
-            .with_threshold(th)
-            .with_discipline(d)
-            .with_completion_log();
-        let preloaded = streamed.clone().with_arrival_mode(ArrivalMode::Preloaded);
-        let a = run(&w, &streamed);
-        let b = run(&w, &preloaded);
         assert_bit_identical(&a, &b);
     }
 

@@ -35,8 +35,7 @@
 //! - [`nersc`] — the synthetic NERSC workload.
 //! - [`bins`] — logarithmic size binning (the paper's 80-bin analysis).
 //! - [`shard`] — per-shard arrival streams for the sharded replay engine:
-//!   a zero-copy skip-scan view over in-memory traces and a single-reader
-//!   demux with bounded channels for streaming sources.
+//!   a single-reader demux with bounded channels over any source.
 
 pub mod arrivals;
 pub mod bins;
@@ -52,7 +51,7 @@ pub mod zipf;
 pub use arrivals::{RampStep, RateCurve, ThinnedProcess};
 pub use catalog::{FileCatalog, FileId, FileSpec};
 pub use fault::{CrashSpec, FailSlowSpec, FaultPlan};
-pub use shard::{demux, DemuxPump, ShardReceiver, ShardedTraceView};
+pub use shard::{demux, DemuxPump, ShardReceiver};
 pub use source::{CsvTraceSource, InMemorySource, SyntheticSource, TraceSource};
 pub use trace::{Request, Trace};
 pub use zipf::ZipfDistribution;

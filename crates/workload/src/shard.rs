@@ -3,23 +3,17 @@
 //! The sharded replay engine partitions the fleet by disk id: global disk
 //! `d` belongs to shard `d % shards`. After allocation every request's
 //! target disk is a pure function of its file, so the arrival stream
-//! splits the same way — this module provides the two splitters the
-//! engine uses:
+//! splits the same way. [`demux`] is the one splitter the engine uses, for
+//! every source (in-memory [`Trace`] cursors, [`crate::CsvTraceSource`],
+//! synthetic generators): one pump thread drains the source once, routing
+//! requests into bounded per-shard channels in [`Request`]-chunk batches;
+//! each shard consumes a [`ShardReceiver`], which is itself a
+//! [`TraceSource`]. The source is read exactly once however many shards
+//! run.
 //!
-//! - [`ShardedTraceView`] — a skip-scanning [`TraceSource`] over an
-//!   in-memory request slice. Zero-copy: `S` views share the one slice,
-//!   each yielding only its shard's requests. Used for [`Trace`]-backed
-//!   and pre-materialised replays.
-//! - [`demux`] — a single-reader fan-out for streaming sources
-//!   ([`crate::CsvTraceSource`] especially): one pump thread drains the
-//!   source once, routing requests into bounded per-shard channels in
-//!   [`Request`]-chunk batches; each shard consumes a [`ShardReceiver`],
-//!   which is itself a [`TraceSource`]. The file is scanned exactly once
-//!   however many shards run.
-//!
-//! Routing is deterministic and identical between the two splitters:
-//! requests for unmapped files go to shard 0, which surfaces the same
-//! unmapped-file error the unsharded engine would raise.
+//! Routing is deterministic: requests for unmapped files go to shard 0,
+//! which surfaces the same unmapped-file error the unsharded engine would
+//! raise.
 //!
 //! [`Trace`]: crate::Trace
 
@@ -48,82 +42,6 @@ pub fn route_shard(file_to_disk: &[usize], shards: usize, file: usize) -> usize 
     match file_to_disk.get(file) {
         Some(&disk) if disk != usize::MAX => disk % shards,
         _ => 0,
-    }
-}
-
-/// A skip-scanning [`TraceSource`] over a shared in-memory request slice:
-/// yields exactly the requests routed to one shard, in trace order. `S`
-/// views over the same slice partition it exactly.
-#[derive(Debug, Clone)]
-pub struct ShardedTraceView<'a> {
-    requests: &'a [Request],
-    file_to_disk: &'a [usize],
-    shards: usize,
-    shard: usize,
-    horizon: f64,
-    next: usize,
-}
-
-impl<'a> ShardedTraceView<'a> {
-    /// View of shard `shard` of `shards` over `requests` (time-ordered,
-    /// horizon `horizon`), routed through `file_to_disk`.
-    pub fn new(
-        requests: &'a [Request],
-        horizon: f64,
-        file_to_disk: &'a [usize],
-        shards: usize,
-        shard: usize,
-    ) -> Self {
-        assert!(shards > 0 && shard < shards, "shard {shard} of {shards}");
-        let mut view = ShardedTraceView {
-            requests,
-            file_to_disk,
-            shards,
-            shard,
-            horizon,
-            next: 0,
-        };
-        view.skip_foreign();
-        view
-    }
-
-    /// Advance `next` past requests belonging to other shards.
-    fn skip_foreign(&mut self) {
-        while let Some(r) = self.requests.get(self.next) {
-            if route_shard(self.file_to_disk, self.shards, r.file.0 as usize) == self.shard {
-                break;
-            }
-            self.next += 1;
-        }
-    }
-}
-
-impl TraceSource for ShardedTraceView<'_> {
-    #[inline]
-    fn peek_time(&mut self) -> Result<Option<f64>, TraceIoError> {
-        Ok(self.requests.get(self.next).map(|r| r.time))
-    }
-
-    #[inline]
-    fn next_request(&mut self) -> Result<Option<Request>, TraceIoError> {
-        let r = self.requests.get(self.next).copied();
-        if r.is_some() {
-            self.next += 1;
-            self.skip_foreign();
-        }
-        Ok(r)
-    }
-
-    #[inline]
-    fn peek_seq(&mut self) -> Option<u64> {
-        // `next` indexes the shared global slice, so it is exactly the
-        // ordinal an unsharded cursor would report for this request.
-        (self.next < self.requests.len()).then_some(self.next as u64)
-    }
-
-    #[inline]
-    fn horizon(&self) -> f64 {
-        self.horizon
     }
 }
 
@@ -291,37 +209,52 @@ mod tests {
         (trace, file_to_disk)
     }
 
+    /// Demultiplex `source` over `shards` and drain every shard's stream,
+    /// returning each shard's `(global ordinal, request)` pairs.
+    fn demux_all<S: TraceSource + Send>(
+        source: S,
+        file_to_disk: &[usize],
+        shards: usize,
+    ) -> Vec<Vec<(u64, Request)>> {
+        let (pump, mut rxs) = demux(source, shards);
+        std::thread::scope(|scope| {
+            scope.spawn(move || pump.run(file_to_disk));
+            rxs.iter_mut()
+                .map(|rx| {
+                    // Every fixture here declares a 300 s horizon.
+                    assert_eq!(rx.horizon(), 300.0);
+                    let mut out = Vec::new();
+                    while let Some(seq) = rx.peek_seq() {
+                        let r = rx.next_request().expect("shard yields").expect("peeked");
+                        out.push((seq, r));
+                    }
+                    assert!(rx.next_request().unwrap().is_none());
+                    out
+                })
+                .collect()
+        })
+    }
+
     #[test]
     fn sharded_views_partition_the_trace_exactly() {
+        // The per-shard demux streams of an in-memory trace partition it:
+        // every request lands in exactly one shard — the one `route_shard`
+        // names — in trace order, tagged with its ordinal in the trace.
         let (trace, file_to_disk) = fixture();
         for shards in [1, 2, 3, 5, 8] {
-            let mut merged: Vec<Vec<Request>> = (0..shards)
-                .map(|s| {
-                    let mut view = ShardedTraceView::new(
-                        trace.requests(),
-                        trace.horizon(),
-                        &file_to_disk,
-                        shards,
-                        s,
-                    );
-                    assert_eq!(view.horizon(), trace.horizon());
-                    drain(&mut view)
-                })
-                .collect();
-            // Every request lands in exactly one shard, and re-interleaving
-            // by time order reproduces the trace verbatim.
-            let total: usize = merged.iter().map(Vec::len).sum();
+            let streams = demux_all(InMemorySource::new(&trace), &file_to_disk, shards);
+            let total: usize = streams.iter().map(Vec::len).sum();
             assert_eq!(total, trace.len(), "{shards} shards dropped requests");
-            let mut rebuilt = Vec::with_capacity(total);
             let mut cursors = vec![0usize; shards];
-            for r in trace.requests() {
+            for (i, r) in trace.requests().iter().enumerate() {
                 let s = route_shard(&file_to_disk, shards, r.file.0 as usize);
-                assert_eq!(merged[s][cursors[s]], *r, "order within shard {s}");
+                assert_eq!(
+                    streams[s][cursors[s]],
+                    (i as u64, *r),
+                    "order within shard {s}"
+                );
                 cursors[s] += 1;
-                rebuilt.push(*r);
             }
-            assert_eq!(rebuilt.len(), total);
-            merged.clear();
         }
     }
 
@@ -330,31 +263,22 @@ mod tests {
         let (trace, file_to_disk) = fixture();
         let mut csv = Vec::new();
         trace.write_csv(&mut csv).unwrap();
-        let source = CsvTraceSource::from_reader(std::io::Cursor::new(csv), trace.horizon());
-        let shards = 3;
-        let (pump, mut rxs) = demux(source, shards);
-        let map = file_to_disk.clone();
-        std::thread::scope(|scope| {
-            scope.spawn(move || pump.run(&map));
-            let got: Vec<Vec<Request>> = rxs.iter_mut().map(|rx| drain(rx)).collect();
-            // Compare against the in-memory view split (CSV print precision
-            // rounds times, so compare file ids and counts).
-            for (s, stream) in got.iter().enumerate() {
-                let mut view = ShardedTraceView::new(
-                    trace.requests(),
-                    trace.horizon(),
-                    &file_to_disk,
-                    shards,
-                    s,
-                );
-                let want = drain(&mut view);
+        for shards in [1, 3] {
+            let source =
+                CsvTraceSource::from_reader(std::io::Cursor::new(csv.clone()), trace.horizon());
+            let got = demux_all(source, &file_to_disk, shards);
+            // Compare against the in-memory split (CSV print precision
+            // rounds times, so compare ordinals, file ids and times within
+            // the print precision).
+            let want = demux_all(InMemorySource::new(&trace), &file_to_disk, shards);
+            for (s, (stream, want)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(stream.len(), want.len(), "shard {s} length");
-                for (a, b) in stream.iter().zip(&want) {
-                    assert_eq!(a.file, b.file, "shard {s} order");
+                for ((sa, a), (sb, b)) in stream.iter().zip(want) {
+                    assert_eq!((sa, a.file), (sb, b.file), "shard {s} order");
                     assert!((a.time - b.time).abs() < 1e-5);
                 }
             }
-        });
+        }
     }
 
     #[test]
@@ -396,23 +320,29 @@ mod tests {
         assert_eq!(route_shard(&[4, usize::MAX], 3, 0), 1);
         assert_eq!(route_shard(&[4, usize::MAX], 3, 1), 0, "MAX sentinel");
         assert_eq!(route_shard(&[4, usize::MAX], 3, 9), 0, "out of range");
-        let requests = vec![Request {
-            time: 1.0,
-            file: FileId(77),
-        }];
-        for s in 0..3 {
-            let mut view = ShardedTraceView::new(&requests, 10.0, &[0, 1, 2], 3, s);
-            let got = drain(&mut view);
-            assert_eq!(got.len(), usize::from(s == 0), "shard {s}");
+        let trace = Trace::new(
+            vec![Request {
+                time: 1.0,
+                file: FileId(77),
+            }],
+            300.0,
+        );
+        let streams = demux_all(InMemorySource::new(&trace), &[0, 1, 2], 3);
+        for (s, stream) in streams.iter().enumerate() {
+            assert_eq!(stream.len(), usize::from(s == 0), "shard {s}");
         }
     }
 
     #[test]
     fn single_shard_view_is_the_whole_trace() {
+        // One shard's demux stream is the trace verbatim, ordinals included.
         let (trace, file_to_disk) = fixture();
-        let mut view =
-            ShardedTraceView::new(trace.requests(), trace.horizon(), &file_to_disk, 1, 0);
-        let mut all = InMemorySource::new(&trace);
-        assert_eq!(drain(&mut view), drain(&mut all));
+        let streams = demux_all(InMemorySource::new(&trace), &file_to_disk, 1);
+        let whole: Vec<(u64, Request)> = drain(&mut InMemorySource::new(&trace))
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| (i as u64, r))
+            .collect();
+        assert_eq!(streams, vec![whole]);
     }
 }

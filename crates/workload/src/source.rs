@@ -9,9 +9,8 @@
 //!
 //! Implementations:
 //!
-//! - [`InMemorySource`] — a cursor over an existing [`Trace`]. Identical
-//!   semantics to handing the trace to the engine directly
-//!   (property-tested bit-identical in `crates/sim/tests/trace_source.rs`).
+//! - [`InMemorySource`] — a cursor over an existing [`Trace`]; what the
+//!   engine's in-memory `Simulator::run` reads through.
 //! - [`CsvTraceSource`] — a buffered line-at-a-time reader of the CSV
 //!   format [`Trace::write_csv`] produces (`time_s,file_id` rows). Memory
 //!   is one line buffer regardless of file size.

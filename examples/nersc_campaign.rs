@@ -11,8 +11,9 @@
 
 use spindown::core::{Planner, PlannerConfig};
 use spindown::disk::DutyCycleCounter;
-use spindown::sim::config::{CacheConfig, SimConfig, ThresholdPolicy};
+use spindown::sim::config::{SimConfig, ThresholdPolicy};
 use spindown::sim::engine::Simulator;
+use spindown::sim::hierarchy::CacheHierarchyConfig;
 use spindown::workload::nersc::{self, NerscConfig};
 
 fn main() {
@@ -47,16 +48,16 @@ fn main() {
     );
     for hours in [0.1, 0.5, 1.0, 2.0] {
         for cached in [false, true] {
-            let mut sim =
-                SimConfig::paper_default().with_threshold(ThresholdPolicy::Fixed(hours * 3600.0));
-            if cached {
-                sim = sim.with_cache(CacheConfig::paper_16gb());
-            }
+            let cache = cached.then(CacheHierarchyConfig::paper_16gb);
+            let sim = SimConfig::paper_default()
+                .with_threshold(ThresholdPolicy::Fixed(hours * 3600.0))
+                .with_cache_hierarchy(cache.clone());
             let report = Simulator::run(&workload.catalog, &workload.trace, &plan.assignment, &sim)
                 .expect("simulate");
             // Normalise against the never-spin-down fleet.
-            let mut never = SimConfig::paper_default().with_threshold(ThresholdPolicy::Never);
-            never.cache = sim.cache;
+            let never = SimConfig::paper_default()
+                .with_threshold(ThresholdPolicy::Never)
+                .with_cache_hierarchy(cache);
             let e_never =
                 Simulator::run(&workload.catalog, &workload.trace, &plan.assignment, &never)
                     .expect("baseline")

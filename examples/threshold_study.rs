@@ -12,7 +12,7 @@ use spindown::core::{Planner, PlannerConfig};
 use spindown::disk::{break_even_threshold, DiskSpec};
 use spindown::sim::config::{SimConfig, ThresholdPolicy};
 use spindown::sim::engine::Simulator;
-use spindown::workload::{FileCatalog, Trace};
+use spindown::workload::{FileCatalog, InMemorySource, Trace};
 
 fn main() {
     let catalog = FileCatalog::paper_table1(40_000, 0);
@@ -35,8 +35,14 @@ fn main() {
             ThresholdPolicy::Never
         };
         let sim = SimConfig::paper_default().with_threshold(policy);
-        let report = Simulator::run_with_fleet(&catalog, &trace, &plan.assignment, &sim, 100)
-            .expect("simulate");
+        let report = Simulator::run_from_source(
+            &catalog,
+            InMemorySource::new(&trace),
+            &plan.assignment,
+            &sim,
+            100,
+        )
+        .expect("simulate");
         println!(
             "{:>12.1}  {:>10.2}  {:>9.2}  {:>12}",
             threshold,

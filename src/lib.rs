@@ -38,19 +38,28 @@
 //! idle-period start. Select one through the planner ([`core::PolicyChoice`]
 //! covers the paper's fixed thresholds plus the online randomised
 //! ski-rental and adaptive-predictor policies), or implement the trait and
-//! pass it to [`sim::engine::Simulator::run_with_policy`] directly:
+//! pass a factory building it to [`sim::engine::Simulator::run_with_policy`]
+//! directly — one policy instance per replay shard:
 //!
 //! ```
 //! use spindown::core::{Planner, PlannerConfig, PolicyChoice};
-//! use spindown::workload::{FileCatalog, Trace};
+//! use spindown::sim::engine::Simulator;
+//! use spindown::workload::{FileCatalog, InMemorySource, Trace};
 //!
 //! let catalog = FileCatalog::paper_table1(300, 1);
 //! let trace = Trace::poisson(&catalog, 0.5, 300.0, 9);
-//! let mut cfg = PlannerConfig::default();
-//! cfg.policy = Some(PolicyChoice::Adaptive { alpha: 0.5 });
-//! let planner = Planner::new(cfg);
+//! let planner = Planner::new(PlannerConfig::default());
 //! let plan = planner.plan(&catalog, 0.5).expect("plan");
-//! let report = planner.evaluate(&plan, &catalog, &trace).expect("simulates");
+//! let cfg = &planner.config().sim;
+//! let report = Simulator::run_with_policy(
+//!     &catalog,
+//!     InMemorySource::new(&trace),
+//!     &plan.assignment,
+//!     cfg,
+//!     plan.disk_slots(),
+//!     |_shard| PolicyChoice::Adaptive { alpha: 0.5 }.build(&cfg.disk),
+//! )
+//! .expect("simulates");
 //! assert_eq!(report.responses.len(), trace.len());
 //! ```
 

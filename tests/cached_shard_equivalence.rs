@@ -4,8 +4,8 @@
 //!
 //! Pinned here:
 //!
-//! 1. **Legacy global cache** — `CacheConfig::paper_16gb` (and the same
-//!    cache written as an explicit single-tier global hierarchy) replayed
+//! 1. **Legacy global cache** — `CacheHierarchyConfig::paper_16gb` (and the
+//!    same cache written as an explicit single-tier global hierarchy) replayed
 //!    on the golden fixture and a seeded Poisson fleet is bit-identical
 //!    at S ∈ {1, 2, 3, 8}: responses, energy, per-disk tables, merged
 //!    `CacheStats` and the per-tier rows.
@@ -32,7 +32,7 @@
 use std::io::BufReader;
 
 use spindown::packing::{Assignment, DiskBin};
-use spindown::sim::config::{CacheConfig, SimConfig, ThresholdPolicy};
+use spindown::sim::config::{SimConfig, ThresholdPolicy};
 use spindown::sim::engine::Simulator;
 use spindown::sim::hierarchy::{
     CacheHierarchyConfig, CachePolicyChoice, CacheScope, CacheTierConfig,
@@ -130,13 +130,14 @@ fn legacy_global_cache_is_bit_identical_across_shard_counts_on_the_golden_trace(
     let legacy = SimConfig::paper_default()
         .with_threshold(ThresholdPolicy::Fixed(20.0))
         .with_metrics(MetricsMode::Histogram)
-        .with_cache(CacheConfig::paper_16gb());
+        .with_cache_hierarchy(Some(CacheHierarchyConfig::paper_16gb()));
     let explicit = SimConfig::paper_default()
         .with_threshold(ThresholdPolicy::Fixed(20.0))
         .with_metrics(MetricsMode::Histogram)
-        .with_cache_hierarchy(Some(CacheHierarchyConfig::from_legacy(
-            &CacheConfig::paper_16gb(),
-        )));
+        .with_cache_hierarchy(Some(CacheHierarchyConfig::single(CacheTierConfig::dram(
+            16 * GB,
+            CachePolicyChoice::Lru,
+        ))));
     for (what, base) in [("legacy", legacy), ("explicit single tier", explicit)] {
         let solo = Simulator::run(&catalog, &trace, &layout, &base).unwrap();
         let stats = solo.cache.as_ref().expect("cached run reports stats");
@@ -161,7 +162,7 @@ fn legacy_global_cache_is_bit_identical_across_shard_counts_on_seeded_poisson() 
     let layout = assignment(64, 16);
     let base = SimConfig::paper_default()
         .with_metrics(MetricsMode::Histogram)
-        .with_cache(CacheConfig::paper_16gb());
+        .with_cache_hierarchy(Some(CacheHierarchyConfig::paper_16gb()));
     let solo = Simulator::run(&cat, &tr, &layout, &base).unwrap();
     let stats = solo.cache.as_ref().expect("stats");
     assert!(stats.hits > 0, "Poisson reuse must hit");
@@ -224,13 +225,13 @@ fn completion_log_is_bit_identical_across_shard_counts() {
             "cache and memory log",
             plain
                 .clone()
-                .with_cache(CacheConfig::paper_16gb())
+                .with_cache_hierarchy(Some(CacheHierarchyConfig::paper_16gb()))
                 .with_completion_log(),
         ),
         (
             "cache and digest log",
             plain
-                .with_cache(CacheConfig::paper_16gb())
+                .with_cache_hierarchy(Some(CacheHierarchyConfig::paper_16gb()))
                 .with_completion_log_mode(CompletionLogMode::Digest),
         ),
     ];
@@ -265,7 +266,7 @@ fn cached_completion_log_records_only_the_misses() {
     let base = SimConfig::paper_default()
         .with_threshold(ThresholdPolicy::Fixed(20.0))
         .with_metrics(MetricsMode::Histogram)
-        .with_cache(CacheConfig::paper_16gb())
+        .with_cache_hierarchy(Some(CacheHierarchyConfig::paper_16gb()))
         .with_completion_log();
     for shards in SHARD_COUNTS {
         let cfg = base.clone().with_shards(shards);
@@ -297,10 +298,10 @@ fn eviction_pressure_keeps_the_bounded_invariants() {
     let layout = assignment(64, 16);
     let base = SimConfig::paper_default()
         .with_metrics(MetricsMode::Histogram)
-        .with_cache(CacheConfig {
-            capacity_bytes: 256 * MB, // …against a 256 MB budget: heavy churn.
-            ..CacheConfig::paper_16gb()
-        });
+        .with_cache_hierarchy(Some(CacheHierarchyConfig::single(
+            // …against a 256 MB budget: heavy churn.
+            CacheTierConfig::dram(256 * MB, CachePolicyChoice::Lru),
+        )));
     let solo = Simulator::run(&cat, &tr, &layout, &base).unwrap();
     let a = solo.cache.as_ref().expect("stats");
     assert!(a.evicted_bytes > 0, "the fixture must actually evict");

@@ -5,9 +5,10 @@
 use spindown::core::{compare, Planner, PlannerConfig};
 use spindown::disk::{break_even_threshold, DiskSpec};
 use spindown::packing::Allocator;
-use spindown::sim::config::{CacheConfig, SimConfig, ThresholdPolicy};
+use spindown::sim::config::{SimConfig, ThresholdPolicy};
 use spindown::sim::engine::Simulator;
-use spindown::workload::{FileCatalog, Trace};
+use spindown::sim::hierarchy::CacheHierarchyConfig;
+use spindown::workload::{FileCatalog, InMemorySource, Trace};
 
 fn paper_catalog() -> FileCatalog {
     FileCatalog::paper_table1(40_000, 0)
@@ -79,10 +80,16 @@ fn break_even_threshold_minimises_energy() {
     let be = break_even_threshold(&DiskSpec::seagate_st3500630as());
     let energy_at = |threshold: ThresholdPolicy| {
         let sim = SimConfig::paper_default().with_threshold(threshold);
-        Simulator::run_with_fleet(&catalog, &trace, &plan.assignment, &sim, 100)
-            .unwrap()
-            .energy
-            .total_joules()
+        Simulator::run_from_source(
+            &catalog,
+            InMemorySource::new(&trace),
+            &plan.assignment,
+            &sim,
+            100,
+        )
+        .unwrap()
+        .energy
+        .total_joules()
     };
     let at_be = energy_at(ThresholdPolicy::Fixed(be));
     let at_never = energy_at(ThresholdPolicy::Never);
@@ -116,22 +123,19 @@ fn fig5_shape_pack_flat_random_decays() {
     let saving = |assignment: &spindown::packing::Assignment, hours: f64| {
         let sim = SimConfig::paper_default().with_threshold(ThresholdPolicy::Fixed(hours * 3600.0));
         let never = SimConfig::paper_default().with_threshold(ThresholdPolicy::Never);
-        let e =
-            Simulator::run_with_fleet(&workload.catalog, &workload.trace, assignment, &sim, fleet)
-                .unwrap()
-                .energy
-                .total_joules();
-        let e0 = Simulator::run_with_fleet(
-            &workload.catalog,
-            &workload.trace,
-            assignment,
-            &never,
-            fleet,
-        )
-        .unwrap()
-        .energy
-        .total_joules();
-        1.0 - e / e0
+        let energy = |cfg: &SimConfig| {
+            Simulator::run_from_source(
+                &workload.catalog,
+                InMemorySource::new(&workload.trace),
+                assignment,
+                cfg,
+                fleet,
+            )
+            .unwrap()
+            .energy
+            .total_joules()
+        };
+        1.0 - energy(&sim) / energy(&never)
     };
 
     let pack_short = saving(&pack.assignment, 0.1);
@@ -164,7 +168,7 @@ fn cache_hit_ratio_is_low_on_nersc_mix() {
     let plan = planner.plan(&workload.catalog, cfg.arrival_rate()).unwrap();
     let sim = SimConfig::paper_default()
         .with_threshold(ThresholdPolicy::Fixed(1800.0))
-        .with_cache(CacheConfig::paper_16gb());
+        .with_cache_hierarchy(Some(CacheHierarchyConfig::paper_16gb()));
     let report =
         Simulator::run(&workload.catalog, &workload.trace, &plan.assignment, &sim).unwrap();
     let hit = report.cache.unwrap().hit_ratio();

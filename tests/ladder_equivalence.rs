@@ -1,14 +1,13 @@
 //! Ladder-collapse equivalence (tier-1): the N-level power-ladder engine,
 //! collapsed to two levels, *is* the legacy two-state engine — bit for
-//! bit, across arrival modes and queue disciplines.
+//! bit, across queue disciplines.
 //!
 //! Two collapses are pinned:
 //!
 //! 1. **Representation collapse** — an explicit two-level ladder carrying
 //!    the same values as a spec's scalar spin-down/up fields replays
 //!    bit-identically to the spec with no ladder at all (the derived
-//!    default), for randomised specs, traces, all three disciplines and
-//!    both arrival modes.
+//!    default), for randomised specs, traces and all three disciplines.
 //! 2. **Depth collapse** — a three-level ladder whose policy only ever
 //!    descends to level 1 replays bit-identically to a two-state drive
 //!    whose single saving level *is* that level (same draws, entry and
@@ -19,11 +18,11 @@ use proptest::prelude::*;
 use spindown::core::DisciplineChoice;
 use spindown::disk::{DiskSpec, DiskSpecBuilder, PowerLadder};
 use spindown::packing::{Assignment, DiskBin};
-use spindown::sim::config::{ArrivalMode, SimConfig, ThresholdPolicy};
+use spindown::sim::config::{SimConfig, ThresholdPolicy};
 use spindown::sim::engine::Simulator;
 use spindown::sim::metrics::SimReport;
 use spindown::sim::policy::{DescentStep, PowerPolicy};
-use spindown::workload::{FileCatalog, Trace};
+use spindown::workload::{FileCatalog, InMemorySource, Trace};
 
 const MB: u64 = 1_000_000;
 
@@ -101,23 +100,16 @@ proptest! {
         let tr = Trace::poisson(&cat, rate, 500.0, seed);
         let layout = assignment(24, 3);
         for discipline in disciplines() {
-            for arrivals in [ArrivalMode::Streamed, ArrivalMode::Preloaded] {
-                let mut derived = SimConfig::paper_default()
-                    .with_threshold(ThresholdPolicy::Fixed(threshold))
-                    .with_discipline(discipline)
-                    .with_arrival_mode(arrivals);
-                derived.disk = spec.clone();
-                let explicit = derived
-                    .clone()
-                    .with_ladder(Some(PowerLadder::two_state(&spec)));
-                let rd = Simulator::run(&cat, &tr, &layout, &derived).expect("derived runs");
-                let re = Simulator::run(&cat, &tr, &layout, &explicit).expect("explicit runs");
-                assert_reports_identical(
-                    &rd,
-                    &re,
-                    &format!("{discipline:?}/{arrivals:?}"),
-                );
-            }
+            let mut derived = SimConfig::paper_default()
+                .with_threshold(ThresholdPolicy::Fixed(threshold))
+                .with_discipline(discipline);
+            derived.disk = spec.clone();
+            let explicit = derived
+                .clone()
+                .with_ladder(Some(PowerLadder::two_state(&spec)));
+            let rd = Simulator::run(&cat, &tr, &layout, &derived).expect("derived runs");
+            let re = Simulator::run(&cat, &tr, &layout, &explicit).expect("explicit runs");
+            assert_reports_identical(&rd, &re, &format!("{discipline:?}"));
         }
     }
 }
@@ -168,20 +160,20 @@ fn three_level_ladder_held_at_level_one_collapses_to_two_state() {
             cfg2.disk = two_spec.clone();
             let r3 = Simulator::run_with_policy(
                 &cat,
-                &tr,
+                InMemorySource::new(&tr),
                 &layout,
                 &cfg3,
                 3,
-                Box::new(OneLevel { rest_s: 20.0 }),
+                |_| Box::new(OneLevel { rest_s: 20.0 }),
             )
             .expect("three-level run");
             let r2 = Simulator::run_with_policy(
                 &cat,
-                &tr,
+                InMemorySource::new(&tr),
                 &layout,
                 &cfg2,
                 3,
-                Box::new(OneLevel { rest_s: 20.0 }),
+                |_| Box::new(OneLevel { rest_s: 20.0 }),
             )
             .expect("two-state run");
             assert_reports_identical(&r3, &r2, &format!("rate {rate} {discipline:?}"));

@@ -10,6 +10,7 @@ use spindown::sim::config::ThresholdPolicy;
 use spindown::sim::engine::Simulator;
 use spindown::sim::metrics::SimReport;
 use spindown::workload::nersc::{self, NerscConfig};
+use spindown::workload::InMemorySource;
 
 /// Every policy family the workspace ships, one representative each.
 fn all_policies() -> Vec<PolicyChoice> {
@@ -52,11 +53,11 @@ fn fixture() -> Fixture {
 fn run(f: &Fixture, policy: PolicyChoice) -> SimReport {
     Simulator::run_with_policy(
         &f.workload.catalog,
-        &f.workload.trace,
+        InMemorySource::new(&f.workload.trace),
         &f.plan.assignment,
         &f.planner.config().sim,
         f.fleet,
-        policy.build(&f.planner.config().sim.disk),
+        |_| policy.build(&f.planner.config().sim.disk),
     )
     .expect("replay succeeds")
 }
@@ -121,11 +122,11 @@ fn every_policy_conserves_on_the_three_state_ladder_too() {
     for policy in all_policies() {
         let report = Simulator::run_with_policy(
             &f.workload.catalog,
-            &f.workload.trace,
+            InMemorySource::new(&f.workload.trace),
             &f.plan.assignment,
             &sim,
             f.fleet,
-            policy.build(&sim.disk),
+            |_| policy.build(&sim.disk),
         )
         .expect("three-state replay succeeds");
         let covered = report.energy.total_seconds();
@@ -149,11 +150,11 @@ fn every_policy_conserves_on_the_three_state_ladder_too() {
     // sparse replay (it pays off before standby does).
     let report = Simulator::run_with_policy(
         &f.workload.catalog,
-        &f.workload.trace,
+        InMemorySource::new(&f.workload.trace),
         &f.plan.assignment,
         &sim,
         f.fleet,
-        PolicyChoice::EnvelopeDescent.build(&sim.disk),
+        |_| PolicyChoice::EnvelopeDescent.build(&sim.disk),
     )
     .expect("three-state replay succeeds");
     assert!(report.fleet_seconds_in(PowerState::Sleeping(1)) > 0.0);
