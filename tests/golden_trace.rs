@@ -10,18 +10,22 @@
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test golden_trace
-//! git diff tests/fixtures/golden_expected.csv   # review, then commit
+//! git diff tests/fixtures/   # review, then commit
 //! ```
 //!
-//! The test rewrites `tests/fixtures/golden_expected.csv` from the current
-//! engine and fails once (so an update can never silently pass CI); rerun
-//! without the variable to verify. Never update to paper over an
+//! Each golden test rewrites its fixture from the current engine and fails
+//! once (so an update can never silently pass CI); rerun without the
+//! variable to verify. Never update to paper over an
 //! unexplained diff — that is the regression this fixture exists to catch.
 //!
 //! The trace (`tests/fixtures/golden_trace.csv`) covers simultaneous
 //! arrivals, queueing behind a large transfer, an arrival mid-spin-down,
 //! and a multi-request pile-up during a spin-up — every engine code path
 //! short of the cache.
+//!
+//! A second fixture, `tests/fixtures/golden_fault_expected.csv`, pins a
+//! seeded replay under an active fault plan (see [`fault_fixture`]): the
+//! per-disk table plus every availability counter.
 
 use std::fmt::Write as _;
 use std::io::BufReader;
@@ -30,6 +34,9 @@ use std::path::Path;
 use spindown::packing::{Assignment, DiskBin};
 use spindown::sim::config::{SimConfig, ThresholdPolicy};
 use spindown::sim::engine::Simulator;
+use spindown::sim::hierarchy::{
+    CacheHierarchyConfig, CachePolicyChoice, CacheScope, CacheTierConfig,
+};
 use spindown::workload::{FileCatalog, Trace};
 
 const MB: u64 = 1_000_000;
@@ -77,6 +84,18 @@ fn render(rows: &[(f64, f64, f64)]) -> String {
     s
 }
 
+/// With `UPDATE_GOLDEN` set, rewrite `path` from the current engine's
+/// `actual` table and fail once, so an update can never silently pass CI.
+fn update_golden_if_asked(path: &str, actual: &str) {
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(Path::new(path), actual).expect("fixture writable");
+        panic!(
+            "golden fixture {path} rewritten from the current engine; review the diff, \
+             commit it, and rerun without UPDATE_GOLDEN"
+        );
+    }
+}
+
 fn parse_expected(text: &str) -> Vec<(f64, f64, f64)> {
     text.lines()
         .skip(1)
@@ -95,13 +114,7 @@ fn parse_expected(text: &str) -> Vec<(f64, f64, f64)> {
 #[test]
 fn golden_trace_per_disk_table_matches_the_pre_discipline_engine() {
     let rows = compute_rows();
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(Path::new(EXPECTED), render(&rows)).expect("fixture writable");
-        panic!(
-            "golden fixture rewritten from the current engine; review the diff, \
-             commit it, and rerun without UPDATE_GOLDEN"
-        );
-    }
+    update_golden_if_asked(EXPECTED, &render(&rows));
     let text = std::fs::read_to_string(EXPECTED).expect("golden expected fixture present");
     let expected = parse_expected(&text);
     assert_eq!(expected.len(), rows.len(), "fixture row count");
@@ -191,5 +204,98 @@ fn golden_trace_table_is_ladder_representation_invariant() {
         assert!((report.per_disk_energy[d].total_joules() - exp.0).abs() < TOL * exp.0.max(1.0));
         assert!((report.per_disk_responses[d].mean() - exp.1).abs() < TOL);
         assert!((report.per_disk_response_quantile(d, 0.95) - exp.2).abs() < TOL);
+    }
+}
+
+const FAULT_EXPECTED: &str = "tests/fixtures/golden_fault_expected.csv";
+
+/// A seeded Poisson replay over six disks under a fault plan dense enough
+/// to reach every injector path: crashes landing mid-service (disk 1 is
+/// also fail-slow, so its services are long) and mid-descent, repairs
+/// landing while a crashed disk still parks (`mttr` shorter than the
+/// 10 s spin-down), wake failures escalating past the retry budget,
+/// transient errors exhausting it, shedding behind wake pile-ups, and
+/// per-disk cache slices that serve hits and are flushed by each crash.
+fn fault_fixture() -> (FileCatalog, Trace, Assignment, SimConfig) {
+    let files = 48;
+    let sizes: Vec<u64> = (0..files).map(|i| (1 + (i % 96) as u64) * MB).collect();
+    let catalog = FileCatalog::from_parts(sizes, vec![1.0 / files as f64; files]);
+    let mut bins: Vec<DiskBin> = (0..6).map(|_| DiskBin::default()).collect();
+    for f in 0..files {
+        bins[f % 6].items.push(f);
+    }
+    let trace = Trace::poisson(&catalog, 0.3, 1200.0, 0xFA0175);
+    let mut cfg = SimConfig::paper_default()
+        .with_threshold(ThresholdPolicy::Fixed(20.0))
+        .with_cache_hierarchy(Some(
+            CacheHierarchyConfig::single(CacheTierConfig::dram(360 * MB, CachePolicyChoice::Lru))
+                .with_scope(CacheScope::PerDisk),
+        ));
+    cfg.faults = spindown::workload::FaultPlan::parse(
+        "transient:p=0.3 | wakefail:p=0.5 | retries=2 | failslow:d1:x8@100..700 | shed=3 \
+         | mttr=8 | seed=13 | crash@t=150:d0 | crash@t=230:d1 | crash@t=310:d2 \
+         | crash@t=390:d3 | crash@t=470:d4 | crash@t=555:d5 | crash@t=640:d1 \
+         | crash@t=725:d0 | crash@t=810:d3 | crash@t=905:d2 | crash@t=990:d4 \
+         | crash@t=1075:d1",
+    )
+    .expect("fixture plan parses");
+    (catalog, trace, Assignment { disks: bins }, cfg)
+}
+
+/// Per-disk energy, downtime and response rows, then one fleet row with
+/// every availability counter and the degraded p95.
+fn render_faulted(report: &spindown::sim::metrics::SimReport) -> String {
+    let a = report.availability.as_ref().expect("faulted run has stats");
+    let mut s = String::from("disk,energy_j,downtime_s,mean_response_s,p95_response_s\n");
+    for d in 0..report.disks {
+        writeln!(
+            s,
+            "{d},{:.9},{:.9},{:.9},{:.9}",
+            report.per_disk_energy[d].total_joules(),
+            a.per_disk_downtime_s[d],
+            report.per_disk_responses[d].mean(),
+            report.per_disk_response_quantile(d, 0.95),
+        )
+        .unwrap();
+    }
+    s.push_str(
+        "fleet,arrivals,completed,retried,shed,failed,wake_failures,crashes,in_flight,\
+         availability,degraded_p95_s\n",
+    );
+    writeln!(
+        s,
+        "all,{},{},{},{},{},{},{},{},{:.9},{:.9}",
+        a.arrivals,
+        a.completed,
+        a.retried,
+        a.shed,
+        a.failed,
+        a.wake_failures,
+        a.crashes,
+        a.in_flight,
+        a.availability,
+        a.degraded_p95(),
+    )
+    .unwrap();
+    s
+}
+
+/// Faulted behaviour pinned against its own past: the table was captured
+/// from the engine before the fault hooks moved behind `FaultRuntime`'s
+/// outcome API, and sharding must not move it either.
+#[test]
+fn golden_fault_table_matches_the_recorded_engine() {
+    let (catalog, trace, assignment, cfg) = fault_fixture();
+    let actual = render_faulted(&Simulator::run(&catalog, &trace, &assignment, &cfg).unwrap());
+    update_golden_if_asked(FAULT_EXPECTED, &actual);
+    let expected = std::fs::read_to_string(FAULT_EXPECTED).expect("fault fixture present");
+    assert_eq!(
+        actual, expected,
+        "faulted golden replay diverged from the recorded engine behaviour"
+    );
+    for shards in [2usize, 4] {
+        let cfg = cfg.clone().with_shards(shards);
+        let sharded = Simulator::run(&catalog, &trace, &assignment, &cfg).unwrap();
+        assert_eq!(render_faulted(&sharded), expected, "S={shards}");
     }
 }
