@@ -7,7 +7,7 @@ use spindown_disk::power::power_of;
 use spindown_disk::state::{DiskStateMachine, TransitionError};
 use spindown_disk::{DiskSpec, PowerState};
 
-use crate::discipline::{DisciplineChoice, Popped, RequestQueue, ELEVATOR_SEEK_FACTOR};
+use crate::discipline::{DisciplineChoice, Popped, QueueEntry, RequestQueue, ELEVATOR_SEEK_FACTOR};
 use crate::metrics::MetricsMode;
 use crate::windows::DiskWindows;
 
@@ -51,16 +51,11 @@ pub struct DiskActor {
     queue: RequestQueue,
     /// The request currently in service.
     pub current: Option<usize>,
-    /// Arrival time of the in-flight request, tracked so the engine can
-    /// compute its response time without indexing back into a materialised
-    /// trace (streamed sources have none). Set by [`DiskActor::serve_next`].
-    current_arrival: Option<f64>,
-    /// Size of the in-flight request, kept so the engine's fault retry
-    /// path can re-enqueue it verbatim. Set by [`DiskActor::serve_next`].
-    current_bytes: u64,
-    /// Platter-position proxy of the in-flight request (see
-    /// `current_bytes`).
-    current_pos: u64,
+    /// Queue entry of the in-flight request, kept so the engine can compute
+    /// its response time without indexing back into a materialised trace
+    /// (streamed sources have none), and re-enqueue it verbatim on a fault
+    /// retry. Set by [`DiskActor::serve_next`].
+    in_service: Option<QueueEntry>,
     /// The level the in-flight descent is heading for (meaningful only
     /// while `phase` is `Descending(_)`).
     descent_target: u8,
@@ -92,9 +87,7 @@ impl DiskActor {
             phase: Phase::Idle,
             queue: RequestQueue::new(discipline),
             current: None,
-            current_arrival: None,
-            current_bytes: 0,
-            current_pos: 0,
+            in_service: None,
             descent_target: 0,
             idle_generation: 0,
             served: 0,
@@ -230,29 +223,15 @@ impl DiskActor {
             return Ok(None);
         };
         let done = self.start_service(t, entry.req, entry.bytes, amortised)?;
-        self.current_arrival = Some(entry.arrival_s);
-        self.current_bytes = entry.bytes;
-        self.current_pos = entry.pos;
+        self.in_service = Some(entry);
         Ok(Some(done))
     }
 
-    /// Arrival time of the in-flight request, when it was dispatched
+    /// Queue entry of the in-flight request, when it was dispatched
     /// through [`DiskActor::serve_next`] (direct [`DiskActor::start_service`]
-    /// callers bypass the queue and carry no arrival).
-    pub fn current_arrival(&self) -> Option<f64> {
-        self.current_arrival
-    }
-
-    /// Size of the in-flight request (meaningful while `Busy`, for the
-    /// engine's fault retry path).
-    pub fn current_bytes(&self) -> u64 {
-        self.current_bytes
-    }
-
-    /// Platter-position proxy of the in-flight request (meaningful while
-    /// `Busy`, for the engine's fault retry path).
-    pub fn current_pos(&self) -> u64 {
-        self.current_pos
+    /// callers bypass the queue and carry none).
+    pub fn in_service(&self) -> Option<QueueEntry> {
+        self.in_service
     }
 
     /// Begin serving request `req` for `bytes` bytes at time `t`; returns
@@ -277,7 +256,7 @@ impl DiskActor {
         self.machine.transition(t + b.seek_s, PowerState::Active)?;
         self.phase = Phase::Busy;
         self.current = Some(req);
-        self.current_arrival = None; // serve_next fills it in from the queue
+        self.in_service = None; // serve_next fills it in from the queue
         Ok(t + b.total())
     }
 
@@ -289,7 +268,7 @@ impl DiskActor {
         self.phase = Phase::Idle;
         self.idle_generation += 1;
         self.served += 1;
-        self.current_arrival = None;
+        self.in_service = None;
         Ok(self.current.take().expect("busy implies current"))
     }
 

@@ -86,7 +86,8 @@ pub struct SimConfig {
     /// legacy single-report path bit-for-bit untouched; `Some(width)`
     /// attaches a [`crate::windows::WindowedReport`] to the report,
     /// bit-identical at any shard count. The width must be finite and
-    /// positive.
+    /// positive; a run with any other width fails with
+    /// [`SimError::BadWindowWidth`](crate::engine::SimError::BadWindowWidth).
     #[serde(default)]
     pub windows: Option<f64>,
 }
@@ -183,9 +184,9 @@ impl SimConfig {
     }
 
     /// Collect windowed time-series metrics with the given tumbling
-    /// window width (seconds). The engine validates the width; builders
-    /// reject the obvious junk early so a bad CLI flag fails here, not
-    /// mid-run.
+    /// window width (seconds). A run rejects a bad width with a
+    /// [`SimError`](crate::engine::SimError); this builder rejects it
+    /// earlier still, at construction.
     ///
     /// # Panics
     /// If `width_s` is not finite and positive.

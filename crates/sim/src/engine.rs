@@ -92,7 +92,7 @@ use crate::actor::{DiskActor, Phase};
 use crate::complog::{CompletionOut, CompletionSink, CompletionWriter};
 use crate::config::SimConfig;
 use crate::event::{Event, EventQueue};
-use crate::fault::{FaultRuntime, PendingRetry};
+use crate::fault::{FaultRuntime, Service, Wake};
 use crate::hierarchy::{CacheHierarchy, CacheScope};
 use crate::metrics::{Completion, MetricsMode, ResponseStats, SimReport};
 use crate::policy::{DescentStep, PowerPolicy, TimeoutPolicy};
@@ -112,6 +112,11 @@ pub enum SimError {
         /// Fleet size requested.
         fleet: usize,
     },
+    /// `SimConfig::windows` holds a width that is not finite and positive.
+    BadWindowWidth {
+        /// The rejected width, seconds.
+        width: f64,
+    },
     /// Internal state-machine violation (a bug — should never surface).
     Transition(TransitionError),
     /// The streaming trace source failed mid-replay (I/O error, malformed
@@ -128,6 +133,9 @@ impl std::fmt::Display for SimError {
             SimError::UnmappedFile { file } => write!(f, "file {file} is not mapped to a disk"),
             SimError::FleetTooSmall { required, fleet } => {
                 write!(f, "fleet of {fleet} disks < {required} required")
+            }
+            SimError::BadWindowWidth { width } => {
+                write!(f, "window width must be finite and positive, got {width}")
             }
             SimError::Transition(e) => write!(f, "disk state machine error: {e}"),
             SimError::Source(e) => write!(f, "trace source failed: {e}"),
@@ -239,8 +247,8 @@ pub struct Simulator<'a, S: TraceSource> {
     stride: usize,
     peak_events: usize,
     peak_disk_queue: usize,
-    /// Live fault-injection state; `None` (no fault plan) keeps every hook
-    /// on the bit-identical legacy path.
+    /// Live fault-injection state. `None` (no fault plan): every hook takes
+    /// the fault-free outcome without consulting a runtime.
     fault: Option<FaultRuntime>,
 }
 
@@ -308,6 +316,11 @@ impl<'a, S: TraceSource + Send> Simulator<'a, S> {
         fleet: usize,
         mut factory: impl FnMut(usize) -> Box<dyn PowerPolicy>,
     ) -> Result<SimReport, SimError> {
+        if let Some(width) = cfg.windows {
+            if !(width.is_finite() && width > 0.0) {
+                return Err(SimError::BadWindowWidth { width });
+            }
+        }
         let required = assignment.disk_slots();
         if fleet < required {
             return Err(SimError::FleetTooSmall { required, fleet });
@@ -428,10 +441,6 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
                 .then(|| FaultRuntime::new(&cfg.faults, fleet, shard, stride, cfg.metrics)),
         };
         if let Some(width) = cfg.windows {
-            assert!(
-                width.is_finite() && width > 0.0,
-                "window width must be finite and positive, got {width}"
-            );
             for a in &mut sim.actors {
                 a.enable_windows(width, cfg.metrics);
             }
@@ -469,18 +478,8 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
         for disk in 0..self.actors.len() {
             self.arm_timer(disk, 0, 0.0);
         }
-        // Scheduled fail-stop crashes (crashes beyond the horizon never
-        // happen — end effects must not depend on the drain order).
         if let Some(f) = &self.fault {
-            let mut crashes = Vec::new();
-            for (disk, times) in f.crash_times.iter().enumerate() {
-                for &t in times {
-                    if t <= self.horizon {
-                        crashes.push((t, disk));
-                    }
-                }
-            }
-            for (t, disk) in crashes {
+            for (t, disk) in f.crashes_until(self.horizon) {
                 self.events.schedule(t, Event::Crash { disk });
             }
         }
@@ -534,10 +533,7 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
         if timer.scheduled.first().is_some_and(|&t0| t0 <= fire) {
             return; // an earlier pop will re-check (and reschedule exactly).
         }
-        let generation = self.actors[disk].idle_generation;
-        self.events
-            .schedule(fire, Event::SpinDownTimer { disk, generation });
-        let timer = &mut self.timers[disk];
+        self.events.schedule(fire, Event::SpinDownTimer { disk });
         let at = timer.scheduled.partition_point(|&x| x < fire);
         timer.scheduled.insert(at, fire);
     }
@@ -576,7 +572,7 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
             self.last_event_time = self.last_event_time.max(t);
             match ev {
                 Event::PhaseDone { disk } => self.on_phase_done(t, disk)?,
-                Event::SpinDownTimer { disk, generation } => self.on_timer(t, disk, generation)?,
+                Event::SpinDownTimer { disk } => self.on_timer(t, disk)?,
                 Event::Crash { disk } => self.on_crash(t, disk)?,
                 Event::Repair { disk } => self.on_repair(t, disk)?,
                 Event::Retry { disk } => self.on_retry(t, disk)?,
@@ -592,60 +588,32 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
             Some(d) if d != usize::MAX => d,
             _ => return Err(SimError::UnmappedFile { file: r.file }),
         };
-        if let Some(f) = &mut self.fault {
-            f.arrivals += 1;
-        }
         let size = self.catalog.file(r.file).size_bytes;
         // A hit returns before the policy or actor hear about the request:
-        // served without disk involvement, idle clock untouched.
-        match &mut self.cache {
-            CacheFront::None => {}
-            CacheFront::Global(hierarchy) => {
-                if let Some(latency) = hierarchy.access(r.file, size) {
-                    // Hits are attributed to the disk holding the file —
-                    // the same recording shape as per-disk slices and
-                    // disk completions — so the histogram-mode global
-                    // statistics (derived from the per-disk collectors
-                    // in disk order) are shard-invariant.
-                    if self.record_global {
-                        self.responses.record(latency);
-                    }
-                    self.per_disk_responses[disk].record(latency);
-                    self.actors[disk].window_completion(t, latency);
-                    if let Some(f) = &mut self.fault {
-                        f.completed += 1;
-                    }
-                    return Ok(());
-                }
+        // served without disk involvement, idle clock untouched. Hits —
+        // global or per-disk slice — are attributed to the disk holding
+        // the file, the same recording shape as disk completions, so the
+        // histogram-mode global statistics (derived from the per-disk
+        // collectors in disk order) are shard-invariant.
+        let hit = match &mut self.cache {
+            CacheFront::None => None,
+            CacheFront::Global(hierarchy) => hierarchy.access(r.file, size),
+            CacheFront::PerDisk(slices) => slices[disk].access(r.file, size),
+        };
+        if let Some(latency) = hit {
+            self.record_response(t, disk, latency);
+            if let Some(f) = &mut self.fault {
+                f.cache_hit();
             }
-            CacheFront::PerDisk(slices) => {
-                if let Some(latency) = slices[disk].access(r.file, size) {
-                    // Per-disk hits belong to the disk's slice: they record
-                    // into the per-disk collector (which the histogram-mode
-                    // finish and the sharded merge both derive the global
-                    // statistics from), plus the live global collector in
-                    // exact mode — mirroring disk completions exactly.
-                    if self.record_global {
-                        self.responses.record(latency);
-                    }
-                    self.per_disk_responses[disk].record(latency);
-                    self.actors[disk].window_completion(t, latency);
-                    if let Some(f) = &mut self.fault {
-                        f.completed += 1;
-                    }
-                    return Ok(());
-                }
-            }
+            return Ok(());
         }
         // Admission control: past the backlog watermark the request is
         // shed (counted, never queued) so a degraded fleet saturates
         // gracefully instead of queueing unboundedly.
-        if let Some(f) = &mut self.fault {
-            if f.sheds(self.actors[disk].queue_len()) {
-                f.shed += 1;
-                self.actors[disk].window_shed(t);
-                return Ok(());
-            }
+        let queue_len = self.actors[disk].queue_len();
+        if self.fault.as_mut().is_some_and(|f| !f.admit(queue_len)) {
+            self.actors[disk].window_shed(t);
+            return Ok(());
         }
         self.policy.request_arrived(disk, t);
         self.actors[disk].enqueue(req, size, t, r.file.index() as u64);
@@ -656,12 +624,10 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
 
     /// Make progress on a disk that has (or may have) pending work.
     fn kick(&mut self, t: f64, disk: usize) -> Result<(), SimError> {
-        if let Some(f) = &self.fault {
-            // An offline disk neither serves nor wakes; its backlog waits
-            // for the repair.
-            if f.down[disk] {
-                return Ok(());
-            }
+        // An offline disk neither serves nor wakes; its backlog waits for
+        // the repair.
+        if self.fault.as_ref().is_some_and(|f| f.is_down(disk)) {
+            return Ok(());
         }
         match self.actors[disk].phase() {
             Phase::Idle => {
@@ -670,16 +636,7 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
                     // time; the no-fault path passes `done` through with
                     // zero extra float operations.
                     let done = match &mut self.fault {
-                        Some(f) => match f.failslow_factor(disk, t) {
-                            Some(factor) => {
-                                f.current_scaled[disk] = true;
-                                t + (done - t) * factor
-                            }
-                            None => {
-                                f.current_scaled[disk] = false;
-                                done
-                            }
-                        },
+                        Some(f) => f.stretch(disk, t, done),
                         None => done,
                     };
                     self.events.schedule(done, Event::PhaseDone { disk });
@@ -688,10 +645,8 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
             Phase::Asleep(_) => {
                 // A failed spin-up holds the disk down for its backoff;
                 // the Retry event scheduled at the hold expiry re-kicks.
-                if let Some(f) = &self.fault {
-                    if t < f.wake_hold_until[disk] {
-                        return Ok(());
-                    }
+                if self.fault.as_ref().is_some_and(|f| f.wake_held(disk, t)) {
+                    return Ok(());
                 }
                 // Wake directly from whatever level the disk rests at.
                 let done = self.actors[disk].begin_spin_up(t)?;
@@ -708,55 +663,18 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
     fn on_phase_done(&mut self, t: f64, disk: usize) -> Result<(), SimError> {
         match self.actors[disk].phase() {
             Phase::Busy => {
-                let arrival = self.actors[disk]
-                    .current_arrival()
+                // The entry must be read before the completion clears it.
+                let entry = self.actors[disk]
+                    .in_service()
                     .expect("engine dispatch always goes through serve_next");
-                if self.fault.is_some() {
-                    // Retry metadata must be read before the completion
-                    // clears the in-flight request.
-                    let bytes = self.actors[disk].current_bytes();
-                    let pos = self.actors[disk].current_pos();
-                    let req = self.actors[disk].complete_service(t)?;
-                    let f = self.fault.as_mut().expect("checked above");
-                    if f.draw_transient(disk) {
-                        // Transient I/O error: the attempt's time and
-                        // energy are spent, the result is discarded. The
-                        // request re-queues after backoff — or is dropped
-                        // once its retry budget runs out.
-                        let n = {
-                            let attempts = f.attempts[disk].entry(req).or_insert(0);
-                            *attempts += 1;
-                            *attempts
-                        };
-                        if n > f.plan().retry_budget {
-                            f.attempts[disk].remove(&req);
-                            f.failed += 1;
-                            self.actors[disk].window_failed(t);
-                        } else {
-                            f.retried += 1;
-                            self.actors[disk].window_retried(t);
-                            let fire = t + f.plan().backoff_s(n - 1);
-                            f.pending_retries[disk].push(PendingRetry {
-                                fire,
-                                req,
-                                bytes,
-                                arrival,
-                                pos,
-                            });
-                            self.events.schedule(fire, Event::Retry { disk });
-                        }
-                    } else {
-                        let degraded = f.is_degraded(disk, req, arrival);
-                        f.attempts[disk].remove(&req);
-                        f.completed += 1;
-                        if degraded {
-                            f.degraded[disk].record(t - arrival);
-                        }
-                        if self.record_global {
-                            self.responses.record(t - arrival);
-                        }
-                        self.per_disk_responses[disk].record(t - arrival);
-                        self.actors[disk].window_completion(t, t - arrival);
+                let req = self.actors[disk].complete_service(t)?;
+                let outcome = match &mut self.fault {
+                    Some(f) => f.service_done(disk, entry, t),
+                    None => Service::Completed,
+                };
+                match outcome {
+                    Service::Completed => {
+                        self.record_response(t, disk, t - entry.arrival_s);
                         if let Some(w) = self.complog.as_mut() {
                             w.push(Completion {
                                 req,
@@ -765,90 +683,76 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
                             })?;
                         }
                     }
-                    if self.fault.as_ref().expect("checked above").pending_crash[disk] {
-                        return self.apply_crash(t, disk);
+                    // A transient I/O error: the attempt's time and energy
+                    // are spent and the request re-queues after backoff —
+                    // or, past its retry budget, is dropped.
+                    Service::Retry { fire } => {
+                        self.actors[disk].window_retried(t);
+                        self.events.schedule(fire, Event::Retry { disk });
                     }
-                } else {
-                    let req = self.actors[disk].complete_service(t)?;
-                    if self.record_global {
-                        self.responses.record(t - arrival);
-                    }
-                    self.per_disk_responses[disk].record(t - arrival);
-                    self.actors[disk].window_completion(t, t - arrival);
-                    if let Some(w) = self.complog.as_mut() {
-                        w.push(Completion {
-                            req,
-                            disk: disk * self.stride + self.shard,
-                            time_s: t,
-                        })?;
-                    }
+                    Service::Failed => self.actors[disk].window_failed(t),
                 }
-                if self.actors[disk].queue_is_empty() {
-                    self.arm_timer(disk, 0, t);
-                } else {
-                    self.kick(t, disk)?;
+                let crashed = self
+                    .fault
+                    .as_mut()
+                    .and_then(|f| f.take_pending_crash(disk, t));
+                match crashed {
+                    Some(repair) => self.take_offline(t, disk, repair),
+                    None => self.resume(t, disk),
                 }
             }
             Phase::Waking(_) => {
-                if self.fault.is_some() {
-                    if self.fault.as_ref().expect("checked above").pending_crash[disk] {
-                        // The crash that landed mid-wake applies at this
-                        // boundary: the spin-up's energy is charged, then
-                        // the disk goes offline.
-                        self.actors[disk].complete_spin_up(t)?;
-                        return self.apply_crash(t, disk);
-                    }
-                    let f = self.fault.as_mut().expect("checked above");
-                    if f.draw_wakefail(disk) {
-                        // Failed spin-up: the attempt's transition energy
-                        // is charged, the drive falls back asleep, and the
-                        // next attempt waits out an exponential backoff.
-                        // Past the retry budget the drive is declared
-                        // fail-stop dead until repair.
-                        f.wake_failures += 1;
-                        f.wake_attempts[disk] += 1;
-                        let n = f.wake_attempts[disk];
-                        if n > f.plan().retry_budget {
-                            self.actors[disk].complete_spin_up(t)?;
-                            return self.apply_crash(t, disk);
-                        }
-                        let hold = t + f.plan().backoff_s(n - 1);
-                        f.wake_hold_until[disk] = hold;
+                let outcome = match &mut self.fault {
+                    Some(f) => f.wake_done(disk, t),
+                    None => Wake::Up,
+                };
+                match outcome {
+                    Wake::Up => {}
+                    // Failed spin-up: the attempt's transition energy is
+                    // charged, the drive falls back asleep, and the Retry
+                    // at the hold expiry re-kicks it.
+                    Wake::Held { until } => {
                         self.actors[disk].fail_spin_up(t)?;
-                        self.events.schedule(hold, Event::Retry { disk });
+                        self.events.schedule(until, Event::Retry { disk });
                         return Ok(());
                     }
-                    f.wake_attempts[disk] = 0;
+                    // A crash that landed mid-wake, or wake failures past
+                    // the retry budget: the spin-up's energy is charged,
+                    // then the disk goes offline.
+                    Wake::Dead { repair } => {
+                        self.actors[disk].complete_spin_up(t)?;
+                        return self.take_offline(t, disk, repair);
+                    }
                 }
                 self.actors[disk].complete_spin_up(t)?;
-                if self.actors[disk].queue_is_empty() {
-                    // Rare: the waiting request was served from elsewhere —
-                    // impossible today, but arm the timer for robustness.
-                    self.arm_timer(disk, 0, t);
-                } else {
-                    self.kick(t, disk)?;
-                }
+                self.resume(t, disk)
             }
             Phase::Descending(_) => {
                 let level = self.actors[disk].complete_descend(t)?;
-                if let Some(f) = &self.fault {
-                    if f.pending_crash[disk] {
-                        // Settled now: the deferred crash applies (and
-                        // continues the park to the deepest level).
-                        return self.apply_crash(t, disk);
+                // Settled now: a crash deferred to this boundary applies.
+                let crashed = self
+                    .fault
+                    .as_mut()
+                    .and_then(|f| f.take_pending_crash(disk, t));
+                if let Some(repair) = crashed {
+                    return self.take_offline(t, disk, repair);
+                }
+                if self.fault.as_ref().is_some_and(|f| f.is_down(disk)) {
+                    // A crashed disk parks all the way down regardless of
+                    // its backlog; a repair deferred to the settle point
+                    // applies once it is there.
+                    let deepest = self.actors[disk].deepest_level();
+                    if level < deepest {
+                        let done = self.actors[disk].begin_descend(t, deepest)?;
+                        self.events.schedule(done, Event::PhaseDone { disk });
+                    } else if self
+                        .fault
+                        .as_mut()
+                        .is_some_and(|f| f.take_pending_repair(disk, t))
+                    {
+                        return self.resume(t, disk);
                     }
-                    if f.down[disk] {
-                        // A crashed disk parks all the way down regardless
-                        // of its backlog, then waits for repair.
-                        let deepest = self.actors[disk].deepest_level();
-                        if level < deepest {
-                            let done = self.actors[disk].begin_descend(t, deepest)?;
-                            self.events.schedule(done, Event::PhaseDone { disk });
-                        } else if f.pending_repair[disk] {
-                            return self.apply_repair(t, disk);
-                        }
-                        return Ok(());
-                    }
+                    return Ok(());
                 }
                 if !self.actors[disk].queue_is_empty() {
                     // Work arrived mid-descent; wake from the level just
@@ -866,13 +770,13 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
                     // and descend further later).
                     self.arm_timer(disk, level, t);
                 }
+                Ok(())
             }
             other => unreachable!("PhaseDone in phase {other:?}"),
         }
-        Ok(())
     }
 
-    fn on_timer(&mut self, t: f64, disk: usize, _generation: u64) -> Result<(), SimError> {
+    fn on_timer(&mut self, t: f64, disk: usize) -> Result<(), SimError> {
         // Retire this heap entry (per-disk entries pop in ascending time
         // order, so it is always the head of the sorted list).
         let timer = &mut self.timers[disk];
@@ -905,46 +809,36 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
         Ok(())
     }
 
+    /// Record one served request's response on `disk` at `t` — a disk
+    /// completion or a cache hit: the live global collector (exact mode),
+    /// the disk's collector and its window.
+    fn record_response(&mut self, t: f64, disk: usize, response: f64) {
+        if self.record_global {
+            self.responses.record(response);
+        }
+        self.per_disk_responses[disk].record(response);
+        self.actors[disk].window_completion(t, response);
+    }
+
     /// A scheduled fail-stop crash fires. Settled disks go offline now;
     /// a crash landing mid-phase (service, wake or descent in flight) is
     /// deferred to the next phase boundary — transitions cannot be
     /// aborted, and the in-flight attempt's energy stays charged.
     fn on_crash(&mut self, t: f64, disk: usize) -> Result<(), SimError> {
-        let phase = self.actors[disk].phase();
-        let f = self
-            .fault
-            .as_mut()
-            .expect("Crash event without a fault plan");
-        if f.down[disk] {
-            return Ok(()); // already offline; a second crash is moot
-        }
-        match phase {
-            Phase::Idle | Phase::Asleep(_) => self.apply_crash(t, disk),
-            Phase::Busy | Phase::Waking(_) | Phase::Descending(_) => {
-                f.pending_crash[disk] = true;
-                Ok(())
-            }
+        let settled = matches!(self.actors[disk].phase(), Phase::Idle | Phase::Asleep(_));
+        match self.fault.as_mut().and_then(|f| f.crash(disk, t, settled)) {
+            Some(repair) => self.take_offline(t, disk, repair),
+            None => Ok(()),
         }
     }
 
-    /// Take `disk` offline at `t` (it is settled: idle or asleep). The
-    /// disk's cache slice is flushed — it will return cold — and from
-    /// idle it parks to the deepest sleep level (the descent chain in
-    /// `on_phase_done` keeps going while the disk is down). Repair is
-    /// scheduled `mttr` later unless that falls beyond the horizon, in
+    /// `disk` went offline at `t` (it is settled: idle or asleep). Its
+    /// cache slice is flushed — it will return cold — and from idle it
+    /// parks to the deepest sleep level (the descent chain in
+    /// `on_phase_done` keeps going while the disk is down). The repair at
+    /// `repair` is scheduled unless that falls beyond the horizon, in
     /// which case the disk stays down to the end of the run.
-    fn apply_crash(&mut self, t: f64, disk: usize) -> Result<(), SimError> {
-        let f = self.fault.as_mut().expect("crash without a fault plan");
-        f.pending_crash[disk] = false;
-        if f.down[disk] {
-            return Ok(());
-        }
-        f.down[disk] = true;
-        f.down_since[disk] = t;
-        f.crashes += 1;
-        f.wake_attempts[disk] = 0;
-        f.wake_hold_until[disk] = 0.0;
-        let repair = t + f.plan().mttr_s;
+    fn take_offline(&mut self, t: f64, disk: usize, repair: f64) -> Result<(), SimError> {
         self.timers[disk].deadline = None;
         if let CacheFront::PerDisk(slices) = &mut self.cache {
             slices[disk].flush();
@@ -963,61 +857,43 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
     }
 
     /// A repair completes. A disk still descending defers to the settle
-    /// point; otherwise it comes back cold — parked at whatever sleep
-    /// level it reached — and any backlog wakes it immediately.
+    /// point; otherwise it comes back online, cold — parked at whatever
+    /// sleep level it reached — and any backlog wakes it immediately.
     fn on_repair(&mut self, t: f64, disk: usize) -> Result<(), SimError> {
-        let f = self
+        let descending = matches!(self.actors[disk].phase(), Phase::Descending(_));
+        let back = self
             .fault
             .as_mut()
-            .expect("Repair event without a fault plan");
-        if !f.down[disk] {
-            return Ok(());
+            .is_some_and(|f| f.repair(disk, t, descending));
+        if back {
+            return self.resume(t, disk);
         }
-        if matches!(self.actors[disk].phase(), Phase::Descending(_)) {
-            f.pending_repair[disk] = true;
-            return Ok(());
-        }
-        self.apply_repair(t, disk)
+        Ok(())
     }
 
-    /// Bring `disk` back online at `t` (it is settled, cold).
-    fn apply_repair(&mut self, t: f64, disk: usize) -> Result<(), SimError> {
-        let f = self.fault.as_mut().expect("repair without a fault plan");
-        f.pending_repair[disk] = false;
-        f.down[disk] = false;
-        f.downtime[disk] += (t - f.down_since[disk]).max(0.0);
-        f.last_repair[disk] = t;
+    /// Continue `disk`, settled at `t`: its backlog is served (or wakes
+    /// it), otherwise the policy arms the next descent from its level.
+    fn resume(&mut self, t: f64, disk: usize) -> Result<(), SimError> {
         if !self.actors[disk].queue_is_empty() {
-            self.kick(t, disk)
-        } else {
-            if let Some(level) = self.actors[disk].phase().settled_level() {
-                self.arm_timer(disk, level, t);
-            }
-            Ok(())
+            return self.kick(t, disk);
         }
+        if let Some(level) = self.actors[disk].phase().settled_level() {
+            self.arm_timer(disk, level, t);
+        }
+        Ok(())
     }
 
     /// A retry backoff expires: due transient retries re-enter the queue
     /// with their original arrival stamps, and a held wake attempt is
     /// allowed again (the kick re-tries the spin-up).
     fn on_retry(&mut self, t: f64, disk: usize) -> Result<(), SimError> {
-        let f = self
-            .fault
-            .as_mut()
-            .expect("Retry event without a fault plan");
-        let pending = &mut f.pending_retries[disk];
-        let mut due = Vec::new();
-        let mut i = 0;
-        while i < pending.len() {
-            if pending[i].fire <= t {
-                due.push(pending.remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        for r in &due {
+        let due = match &mut self.fault {
+            Some(f) => f.take_due_retries(disk, t),
+            None => Vec::new(),
+        };
+        for e in &due {
             self.policy.request_arrived(disk, t);
-            self.actors[disk].enqueue(r.req, r.bytes, r.arrival, r.pos);
+            self.actors[disk].enqueue(e.req, e.bytes, e.arrival_s, e.pos);
         }
         if !due.is_empty() {
             self.peak_disk_queue = self.peak_disk_queue.max(self.actors[disk].queue_len());
@@ -1039,17 +915,7 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
         }
         let availability = self.fault.take().map(|f| {
             let queued: u64 = self.actors.iter().map(|a| a.queue_len() as u64).sum();
-            let stats = f.into_stats(t_end, queued, self.actors.len(), self.cfg.metrics);
-            debug_assert!(
-                stats.conservation_holds(),
-                "fault conservation violated: {} arrivals vs {} completed + {} shed + {} failed + {} in-flight",
-                stats.arrivals,
-                stats.completed,
-                stats.shed,
-                stats.failed,
-                stats.in_flight
-            );
-            stats
+            f.into_stats(t_end, queued, self.cfg.metrics)
         });
         let mut fleet = spindown_disk::energy::EnergyBreakdown::default();
         let mut per_disk = Vec::with_capacity(self.actors.len());
@@ -1863,6 +1729,22 @@ mod tests {
         let s = service_time_72mb();
         assert!((report.response_quantile(0.0) - (15.0 + s)).abs() < 1e-9);
         assert!((report.response_quantile(1.0) - (15.0 + 2.0 * s)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn bad_window_width_is_an_error_at_any_shard_count() {
+        let (cat, tr) = (catalog(4, 10 * MB), trace(&[(1.0, 0), (2.0, 3)], 100.0));
+        for width in [0.0, -1.0, f64::NAN] {
+            for shards in [1usize, 4] {
+                let mut cfg = SimConfig::paper_default().with_shards(shards);
+                cfg.windows = Some(width);
+                let err = run_fleet(&cat, &tr, &assignment(&[0, 1, 2, 3]), &cfg, 4).unwrap_err();
+                assert!(
+                    matches!(err, SimError::BadWindowWidth { .. }),
+                    "{width} S={shards}"
+                );
+            }
+        }
     }
 }
 

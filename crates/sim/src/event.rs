@@ -16,13 +16,13 @@ pub enum Event {
         /// Disk index.
         disk: usize,
     },
-    /// Disk `disk`'s idleness timer fires; stale timers are filtered by the
-    /// generation counter.
+    /// Disk `disk`'s descent timer fires. The event carries no deadline:
+    /// the engine keeps one live deadline per disk (guarded by the disk's
+    /// idle generation) and treats a pop that finds none, or one not yet
+    /// due, as stale.
     SpinDownTimer {
         /// Disk index.
         disk: usize,
-        /// Idle-period generation the timer was armed in.
-        generation: u64,
     },
     /// Disk `disk` fail-stops (fault injection): it goes offline until its
     /// repair completes. Crashes landing mid-phase are deferred to the next

@@ -5,9 +5,9 @@
 //!    [`FaultPlan::none`] (explicitly, via knob-only specs, or via
 //!    `FaultChoice::parse("none")`) replays **bit-identically** to the
 //!    legacy engine that predates fault injection, on the golden fixture
-//!    and on a seeded Poisson fleet, at S ∈ {1, 2, 8}. The fault hooks
-//!    are all behind one `Option`: the fault-free path never constructs a
-//!    runtime, draws no random numbers and touches no counters.
+//!    and on a seeded Poisson fleet, at S ∈ {1, 2, 8}. Without a plan the
+//!    engine builds no fault runtime, and every hook takes the fault-free
+//!    outcome without asking one: no random draws, no counters.
 //! 2. **Faulted shard-invariance** — an *active* fault plan keys every
 //!    per-disk random stream by the **global** disk id, so the merged
 //!    S-shard report (responses, energy, availability counters, per-disk
