@@ -26,6 +26,11 @@
 //! A second fixture, `tests/fixtures/golden_fault_expected.csv`, pins a
 //! seeded replay under an active fault plan (see [`fault_fixture`]): the
 //! per-disk table plus every availability counter.
+//!
+//! A third, `tests/fixtures/golden_figures_expected.txt`, pins the values
+//! of the design-space figures (`shootout`, `joint`, `fig5`, `fig6`) at
+//! quick scale: ids, titles, notes and columns exactly, every cell to
+//! [`TOL`].
 
 use std::fmt::Write as _;
 use std::io::BufReader;
@@ -298,4 +303,82 @@ fn golden_fault_table_matches_the_recorded_engine() {
         let sharded = Simulator::run(&catalog, &trace, &assignment, &cfg).unwrap();
         assert_eq!(render_faulted(&sharded), expected, "S={shards}");
     }
+}
+
+const FIGURES_EXPECTED: &str = "tests/fixtures/golden_figures_expected.txt";
+
+/// One line per figure header, note, column list and row; cells print in
+/// Rust's shortest round-trip form so the fixture holds them exactly.
+fn render_figures(figures: &[spindown::experiments::Figure]) -> String {
+    let mut s = String::new();
+    for fig in figures {
+        writeln!(s, "id {}", fig.id).unwrap();
+        writeln!(s, "title {}", fig.title).unwrap();
+        for note in &fig.notes {
+            writeln!(s, "note {note}").unwrap();
+        }
+        writeln!(s, "columns {}", fig.columns.join(",")).unwrap();
+        for row in &fig.rows {
+            let cells: Vec<String> = row.iter().map(|v| format!("{v}")).collect();
+            writeln!(s, "row {}", cells.join(",")).unwrap();
+        }
+    }
+    s
+}
+
+/// The design-space figures pinned against their own past: every grid
+/// point they evaluate (allocator, policy, discipline, ladder, cache and
+/// fault brackets, the joint search, the NERSC threshold replay) must keep
+/// its value, and every label its bytes.
+#[test]
+fn golden_figures_match_the_recorded_experiments() {
+    use spindown::experiments::{fig56, joint_exp, shootout, Scale};
+    let (fig5, fig6) = fig56::fig56(Scale::Quick);
+    let figures = [
+        shootout::shootout(Scale::Quick),
+        joint_exp::joint(Scale::Quick),
+        fig5,
+        fig6,
+    ];
+    let actual = render_figures(&figures);
+    update_golden_if_asked(FIGURES_EXPECTED, &actual);
+    let expected = std::fs::read_to_string(FIGURES_EXPECTED).expect("figures fixture present");
+    let (exp_lines, act_lines): (Vec<&str>, Vec<&str>) =
+        (expected.lines().collect(), actual.lines().collect());
+    assert_eq!(
+        exp_lines.len(),
+        act_lines.len(),
+        "figure fixture line count"
+    );
+    let mut diff = String::new();
+    for (i, (e, a)) in exp_lines.iter().zip(&act_lines).enumerate() {
+        let cells = e.strip_prefix("row ").zip(a.strip_prefix("row "));
+        let same = match cells {
+            Some((e, a)) => {
+                let parse = |r: &str| -> Vec<f64> {
+                    r.split(',')
+                        .map(|v| v.parse().expect("numeric cell"))
+                        .collect()
+                };
+                let (e, a) = (parse(e), parse(a));
+                e.len() == a.len()
+                    && e.iter().zip(&a).all(|(e, a)| {
+                        (e.is_nan() && a.is_nan()) || (e - a).abs() <= TOL * e.abs().max(1.0)
+                    })
+            }
+            None => e == a,
+        };
+        if !same {
+            writeln!(
+                diff,
+                "  line {}:\n    expected {e}\n    got      {a}",
+                i + 1
+            )
+            .unwrap();
+        }
+    }
+    assert!(
+        diff.is_empty(),
+        "design-space figures diverged from the recorded experiments:\n{diff}"
+    );
 }
