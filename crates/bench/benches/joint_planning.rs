@@ -1,15 +1,14 @@
 //! Joint-planner grid-evaluation throughput: the full default quadruple
 //! grid (3 allocations × 3 policies × 2 disciplines × 2 ladders = 36
-//! cells) searched against a NERSC-style batched replay, both through the
-//! sequential `JointPlanner::search` and the thread-fanned
-//! `experiments::sweep::run_joint` driver the shootout and CLI use.
-//! Guards the planner assembly path (one `DiskSpec`, ladder applied
-//! before policy construction) plus the per-cell simulation cost;
-//! `scripts/bench_diff.py` diffs the means against `BENCH_BASELINE.json`.
+//! cells) searched against a NERSC-style batched replay through
+//! `JointPlanner::search`, which fans the cells across threads exactly as
+//! the shootout and CLI run it. Guards the planner assembly path (one
+//! `DiskSpec`, ladder applied before policy construction) plus the
+//! per-cell simulation cost; `scripts/bench_diff.py` diffs the means
+//! against `BENCH_BASELINE.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use spindown_core::{JointConfig, JointPlanner};
-use spindown_experiments::sweep::run_joint;
 use spindown_workload::arrivals::BatchConfig;
 use spindown_workload::{FileCatalog, Trace};
 use std::hint::black_box;
@@ -39,15 +38,9 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("joint_planning/nersc_grid");
     group.sample_size(10);
     group.throughput(Throughput::Elements(cells));
-    group.bench_with_input(BenchmarkId::new("search", "sequential"), &trace, |b, t| {
-        b.iter(|| {
-            let out = planner.search(&catalog, black_box(t), RATE).unwrap();
-            black_box(out.winner)
-        })
-    });
     group.bench_with_input(BenchmarkId::new("search", "fanned"), &trace, |b, t| {
         b.iter(|| {
-            let out = run_joint(&planner, &catalog, black_box(t), RATE).unwrap();
+            let out = planner.search(&catalog, black_box(t), RATE).unwrap();
             black_box(out.winner)
         })
     });
@@ -55,7 +48,7 @@ fn bench(c: &mut Criterion) {
 
     // One-shot report so `cargo bench` records the planning story next to
     // the timing story.
-    let out = run_joint(&planner, &catalog, &trace, RATE).unwrap();
+    let out = planner.search(&catalog, &trace, RATE).unwrap();
     println!(
         "joint_planning/outcome: winner {} ({:.0} J, p95 {:.3} s), {} frontier of {} cells",
         out.winner_cell().candidate.label(),

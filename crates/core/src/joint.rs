@@ -20,16 +20,17 @@
 //! - **ladder** — any [`LadderChoice`] (deep ladders pay on archival
 //!   shards, two-state on the latency tail).
 //!
-//! Every candidate plans and evaluates against the **same** [`DiskSpec`]
-//! (the planner's single source of truth, `base.sim.disk`), with the
-//! ladder applied to that spec *before* the policy is built from it — the
-//! ordering `experiments::sweep::run_sweep` pins. The result is the set of
-//! evaluated cells, their Pareto frontier over (energy, p95 response), and
-//! a scalarised winner under a configurable [`JointObjective`].
-//!
-//! The search itself is deliberately sequential and dependency-free; the
-//! `experiments` crate fans the same cells across threads with its sweep
-//! machinery (`experiments::sweep::run_joint`).
+//! A [`JointCandidate`] is the workspace's one description of a design
+//! point, and [`JointPlanner`] is the one place a candidate becomes a
+//! simulation: every candidate plans and evaluates against the **same**
+//! [`DiskSpec`] (the planner's single source of truth, `base.sim.disk`),
+//! with the ladder applied to that spec *before* the policy is built from
+//! it. [`JointPlanner::search`] fans the grid's cells across threads with
+//! [`parallel_map`] and returns the evaluated cells, their Pareto frontier
+//! over (energy, p95 response), and a scalarised winner under a
+//! configurable [`JointObjective`]. Brackets that already hold a plan (the
+//! shootout's fixed-allocation rows, the figures' threshold series) call
+//! [`JointPlanner::evaluate`] with it directly.
 
 use serde::{Deserialize, Serialize};
 use spindown_disk::{DiskSpec, LadderChoice};
@@ -42,6 +43,7 @@ use spindown_workload::{FaultPlan, FileCatalog, Trace};
 
 use crate::planner::{Plan, PlanError, Planner, PlannerConfig};
 use crate::policy::PolicyChoice;
+use crate::sweep::parallel_map;
 
 /// Scalarisation of the (energy, p95) trade-off: the winner minimises
 /// `energy_j^energy_weight · p95_s^p95_weight`. The default (1, 1) is the
@@ -177,6 +179,25 @@ impl JointCandidate {
         if self.cache != CacheChoice::None {
             label.push('+');
             label.push_str(&self.cache.label());
+        }
+        label
+    }
+
+    /// Short label like `break_even`, `fixed_1800s+lru:16`,
+    /// `break_even+sjf_a30s` or `lower_env+3state`: the policy, with the
+    /// discipline, ladder and cache spelled out only when they differ from
+    /// the paper's FIFO / two-state / cache-free defaults. The allocator is
+    /// left out — brackets that fix it name it in their own notes.
+    pub fn short_label(&self) -> String {
+        let mut label = self.policy.label();
+        if self.discipline != DisciplineChoice::Fifo {
+            label = format!("{label}+{}", self.discipline.label());
+        }
+        if self.ladder != LadderChoice::TwoState {
+            label = format!("{label}+{}", self.ladder.label());
+        }
+        if self.cache != CacheChoice::None {
+            label = format!("{label}+{}", self.cache.label());
         }
         label
     }
@@ -448,26 +469,24 @@ impl JointPlanner {
         self.cfg.candidates()
     }
 
-    /// Plan each allocation strategy once at `rate` (packing is policy-,
-    /// discipline- and ladder-independent: none of those change the
-    /// drive's capacity or transfer rate, so one plan serves a whole
-    /// allocation row of the grid).
+    /// Plan each allocation strategy once at `rate`, fanned across threads
+    /// (packing is policy-, discipline- and ladder-independent: none of
+    /// those change the drive's capacity or transfer rate, so one plan
+    /// serves a whole allocation row of the grid).
     pub fn plan_allocations(
         &self,
         catalog: &FileCatalog,
         rate: f64,
     ) -> Result<Vec<(Allocator, Plan)>, PlanError> {
-        self.cfg
-            .allocators
-            .iter()
-            .map(|&allocator| {
-                let mut cfg = self.cfg.base.clone();
-                cfg.allocator = allocator;
-                Planner::new(cfg)
-                    .plan(catalog, rate)
-                    .map(|p| (allocator, p))
-            })
-            .collect()
+        parallel_map(&self.cfg.allocators, |_, &allocator| {
+            let mut cfg = self.cfg.base.clone();
+            cfg.allocator = allocator;
+            Planner::new(cfg)
+                .plan(catalog, rate)
+                .map(|p| (allocator, p))
+        })
+        .into_iter()
+        .collect()
     }
 
     /// The fleet every cell simulates: the configured floor raised to the
@@ -478,16 +497,18 @@ impl JointPlanner {
         self.cfg.fleet.unwrap_or(0).max(largest)
     }
 
-    /// The per-candidate planner: base config with the candidate's
-    /// allocator and discipline, the ladder applied to the one drive spec
-    /// *before* the policy choice is attached — so
-    /// [`Planner::power_policy`] builds the policy from the exact spec the
-    /// engine runs (the ordering `run_sweep` pins). Responses aggregate in
+    /// The per-candidate planner — the one lowering of a
+    /// [`JointCandidate`] into a simulation config. The base config keeps
+    /// everything the grid does not cover (drive model, shards, completion
+    /// log) and takes the candidate's allocator and discipline; the ladder
+    /// is applied to the one drive spec *before* the policy choice is
+    /// attached, so [`Planner::power_policy`] builds the policy from the
+    /// exact spec the engine runs. Responses aggregate in
     /// [`MetricsMode::Histogram`]: a grid holds O(buckets) per cell. A
     /// non-`None` cache lowers to `sim.cache_hierarchy`, fronting the
     /// fleet before any disk sees the request; a non-`None` fault regime
     /// lowers to `sim.faults`, so every cell replays under it.
-    pub fn planner_for(&self, candidate: &JointCandidate) -> Planner {
+    fn planner_for(&self, candidate: &JointCandidate) -> Planner {
         let mut cfg = self.cfg.base.clone();
         cfg.allocator = candidate.allocator;
         cfg.sim.discipline = candidate.discipline;
@@ -521,27 +542,10 @@ impl JointPlanner {
         })
     }
 
-    /// The plan backing `candidate`'s allocation row of the grid.
-    pub fn plan_for<'a>(
-        &self,
-        plans: &'a [(Allocator, Plan)],
-        candidate: &JointCandidate,
-    ) -> &'a Plan {
-        &plans
-            .iter()
-            .find(|(a, _)| *a == candidate.allocator)
-            .expect("every candidate's allocator was planned")
-            .1
-    }
-
-    /// Rank evaluated cells into frontier + scalarised winner.
-    pub fn outcome(&self, cells: Vec<JointCell>, fleet: usize) -> Result<JointOutcome, JointError> {
-        JointOutcome::from_cells(cells, self.cfg.objective, fleet).ok_or(JointError::EmptyGrid)
-    }
-
-    /// Run the full search sequentially: plan each allocation, evaluate
-    /// every quadruple, return frontier + winner. (The `experiments` crate
-    /// provides the thread-fanned equivalent, `sweep::run_joint`.)
+    /// Run the full search: plan each allocation once, evaluate every
+    /// candidate across threads, and rank the cells into frontier +
+    /// scalarised winner. Cells come back in candidate order whatever the
+    /// thread count, so frontier and winner indices are deterministic.
     pub fn search(
         &self,
         catalog: &FileCatalog,
@@ -550,13 +554,16 @@ impl JointPlanner {
     ) -> Result<JointOutcome, JointError> {
         let plans = self.plan_allocations(catalog, rate)?;
         let fleet = self.fleet_for(&plans);
-        let candidates = self.candidates();
-        let mut cells = Vec::with_capacity(candidates.len());
-        for cand in &candidates {
-            let plan = self.plan_for(&plans, cand);
-            cells.push(self.evaluate(cand, plan, catalog, trace, fleet)?);
-        }
-        self.outcome(cells, fleet)
+        let cells = parallel_map(&self.candidates(), |_, cand| {
+            let (_, plan) = plans
+                .iter()
+                .find(|(a, _)| *a == cand.allocator)
+                .expect("every candidate's allocator was planned");
+            self.evaluate(cand, plan, catalog, trace, fleet)
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+        JointOutcome::from_cells(cells, self.cfg.objective, fleet).ok_or(JointError::EmptyGrid)
     }
 }
 
@@ -749,6 +756,127 @@ mod tests {
         // The cache-free default leaves the sim config untouched.
         let p = planner.planner_for(&JointCandidate::paper_default());
         assert!(p.config().sim.cache_hierarchy.is_none());
+    }
+
+    #[test]
+    fn short_labels_spell_only_non_default_knobs() {
+        let base = JointCandidate::paper_default();
+        assert_eq!(base.short_label(), "break_even");
+        let c = JointCandidate {
+            allocator: Allocator::Concentrate,
+            policy: PolicyChoice::lower_envelope(),
+            discipline: DisciplineChoice::sjf(),
+            ladder: LadderChoice::ThreeState,
+            cache: CacheChoice::parse("lru:2+lru:16").unwrap(),
+        };
+        assert_eq!(c.short_label(), "lower_env+sjf_a30s+3state+lru:2+lru:16");
+        let cached = JointCandidate {
+            policy: PolicyChoice::fixed(1800.0),
+            cache: CacheChoice::parse("lru:16").unwrap(),
+            ..base
+        };
+        assert_eq!(cached.short_label(), "fixed_1800s+lru:16");
+    }
+
+    /// A two-file catalog and a single-row grid (Pack_Disks, FIFO,
+    /// two-state, no cache) over `policies` at a two-disk fleet.
+    fn two_file_grid(policies: Vec<PolicyChoice>) -> (FileCatalog, JointConfig) {
+        use spindown_workload::MB;
+        let catalog = FileCatalog::from_parts(vec![10 * MB, 20 * MB], vec![0.5, 0.5]);
+        let mut cfg = JointConfig::default_grid();
+        cfg.allocators = vec![Allocator::PackDisks];
+        cfg.policies = policies;
+        cfg.disciplines = vec![DisciplineChoice::Fifo];
+        cfg.ladders = vec![LadderChoice::TwoState];
+        cfg.fleet = Some(2);
+        (catalog, cfg)
+    }
+
+    #[test]
+    fn evaluate_preserves_the_callers_base_config() {
+        use spindown_sim::complog::CompletionLogMode;
+        let (catalog, mut cfg) = two_file_grid(vec![PolicyChoice::never()]);
+        let trace = Trace::poisson(&catalog, 0.05, 600.0, 3);
+        // A base the grid dimensions do not cover: non-default drive,
+        // completion log on, sharded. All of it must survive the lowering.
+        let drive = DiskSpec::archival_5400();
+        cfg.base = PlannerConfig::default().with_disk(drive.clone());
+        cfg.base.sim = cfg.base.sim.clone().with_completion_log().with_shards(2);
+        let custom = JointPlanner::new(cfg);
+        let lowered = custom.planner_for(&JointCandidate {
+            policy: PolicyChoice::never(),
+            ..JointCandidate::paper_default()
+        });
+        let sim = &lowered.config().sim;
+        assert_eq!(sim.disk, drive);
+        assert_eq!(sim.completion_log, CompletionLogMode::Memory);
+        assert_eq!(sim.shards, 2);
+        // Never-spin-down: the fleet idles at the archival drive's 5 W,
+        // not the default drive's 9.3 W — the custom drive reaches the
+        // engine, not just the config.
+        let (_, default_cfg) = two_file_grid(vec![PolicyChoice::never()]);
+        let stock = JointPlanner::new(default_cfg)
+            .search(&catalog, &trace, 0.05)
+            .unwrap();
+        let archival = custom.search(&catalog, &trace, 0.05).unwrap();
+        let (e_arch, e_stock) = (archival.cells[0].energy_j, stock.cells[0].energy_j);
+        let ratio = drive.idle_power_w / DiskSpec::seagate_st3500630as().idle_power_w;
+        assert!(
+            e_arch < e_stock && (e_arch / e_stock - ratio).abs() < 0.05,
+            "archival {e_arch} J vs stock {e_stock} J (idle-power ratio {ratio})"
+        );
+    }
+
+    #[test]
+    fn search_is_deterministic_and_never_is_the_energy_ceiling() {
+        // Sparse arrivals: per-disk idle gaps far beyond the break-even
+        // time, so every sleeping policy beats the never-spin-down floor.
+        let (catalog, cfg) = two_file_grid(vec![
+            PolicyChoice::break_even(),
+            PolicyChoice::SkiRental { seed: 5 },
+            PolicyChoice::Adaptive { alpha: 0.5 },
+            PolicyChoice::never(),
+        ]);
+        let trace = Trace::poisson(&catalog, 0.01, 2000.0, 99);
+        let planner = JointPlanner::new(cfg);
+        let a = planner.search(&catalog, &trace, 0.01).unwrap();
+        let b = planner.search(&catalog, &trace, 0.01).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(a.cells.len(), 4);
+        // Grid cells stream their responses: constant memory per cell.
+        for c in planner.candidates() {
+            assert_eq!(
+                planner.planner_for(&c).config().sim.metrics,
+                MetricsMode::Histogram
+            );
+        }
+        let never = &a.cells[3];
+        for c in &a.cells[..3] {
+            assert!(c.energy_j <= never.energy_j + 1e-6, "{c:?} vs {never:?}");
+        }
+    }
+
+    #[test]
+    fn three_state_cells_simulate_and_differ_from_two_state() {
+        let (catalog, mut cfg) = two_file_grid(vec![
+            PolicyChoice::break_even(),
+            PolicyChoice::EnvelopeDescent,
+        ]);
+        cfg.ladders = LadderChoice::all();
+        let trace = Trace::poisson(&catalog, 0.01, 4000.0, 17);
+        let out = JointPlanner::new(cfg)
+            .search(&catalog, &trace, 0.01)
+            .unwrap();
+        // Policy-outer, ladder-inner: be/2, be/3, envelope/2, envelope/3.
+        assert_eq!(out.cells.len(), 4);
+        for c in &out.cells {
+            assert!(c.energy_j > 0.0);
+        }
+        // On the two-state ladder the envelope policy *is* the break-even
+        // timeout (same single threshold), so those cells agree; the
+        // three-state cells genuinely differ from their two-state peers.
+        assert!((out.cells[0].energy_j - out.cells[2].energy_j).abs() < 1e-6);
+        assert_ne!(out.cells[0].energy_j, out.cells[1].energy_j);
     }
 
     #[test]

@@ -27,6 +27,7 @@ pub mod joint;
 pub mod planner;
 pub mod policy;
 pub mod reorg;
+pub mod sweep;
 pub mod writes;
 
 pub use comparison::{compare, Comparison};
@@ -37,6 +38,7 @@ pub use joint::{
 pub use planner::{Plan, PlanError, Planner, PlannerConfig, ServiceModel};
 pub use policy::PolicyChoice;
 pub use reorg::{plan_reorg, MigrationPlan};
+pub use sweep::parallel_map;
 // Queue disciplines select *how* each disk orders its pending requests,
 // exactly as `PolicyChoice` selects *when* it sleeps; re-exported so
 // planner/sweep callers configure both from one place.

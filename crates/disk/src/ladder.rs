@@ -346,8 +346,9 @@ impl PowerLadder {
     }
 }
 
-/// A `Copy`, serialisable handle naming a ladder preset — the sweep-grid
-/// dimension (`SweepSpec.ladder`) and the `experiments --ladder` CLI value.
+/// A `Copy`, serialisable handle naming a ladder preset — the joint grid's
+/// ladder dimension (`JointCandidate::ladder` in `spindown_core`) and the
+/// `experiments --ladder` CLI value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum LadderChoice {
     /// The canonical two-state Idle ⇄ Standby ladder (the paper's model;

@@ -4,10 +4,10 @@
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
+use spindown_core::parallel_map;
 use spindown_packing::bounds::{fractional_lower_bound, theorem1_budget};
 use spindown_packing::{pack_disks, Instance, PackItem};
 
-use crate::sweep::parallel_map;
 use crate::{grid_seed, Figure, Scale};
 
 /// Generate a uniform instance with coordinates in `[0, rho_cap]`.

@@ -6,11 +6,10 @@
 //! over the same fleet is the reference. Figure 2 plots the power saving
 //! `1 − E_pack/E_random`, Figure 3 the mean-response-time ratio.
 
-use spindown_core::{compare, Planner, PlannerConfig};
+use spindown_core::{compare, parallel_map, Planner, PlannerConfig};
 use spindown_packing::Allocator;
 use spindown_workload::{FileCatalog, Trace};
 
-use crate::sweep::parallel_map;
 use crate::{grid_seed, Figure, Scale};
 
 /// One grid point's results.

@@ -8,10 +8,9 @@
 //! as an analytic cross-check.
 
 use spindown_analysis::mg1::{mg1_mean_response, mixture_moments};
-use spindown_core::{Planner, PlannerConfig};
+use spindown_core::{parallel_map, Planner, PlannerConfig};
 use spindown_workload::{FileCatalog, Trace};
 
-use crate::sweep::parallel_map;
 use crate::{grid_seed, Figure, Scale};
 
 /// The fixed arrival rate of Figure 4.

@@ -9,12 +9,13 @@
 //! is normalised against the same fleet spinning with no power-saving
 //! mechanism (threshold = Never).
 
-use spindown_core::{Planner, PlannerConfig, PolicyChoice};
+use spindown_core::{
+    parallel_map, JointCandidate, JointConfig, JointPlanner, Planner, PlannerConfig, PolicyChoice,
+};
 use spindown_packing::Allocator;
 use spindown_sim::hierarchy::{CacheChoice, CachePolicyChoice};
 use spindown_workload::nersc::{self, NerscConfig};
 
-use crate::sweep::{policy_cache_grid, run_sweep};
 use crate::{grid_seed, Figure, Scale};
 
 /// The five paper series.
@@ -75,8 +76,6 @@ pub struct NerscPoint {
     pub power_saving: f64,
     /// Mean response time, seconds (the paper's Figure 6 "J").
     pub mean_response_s: f64,
-    /// Cache hit ratio (0 when uncached).
-    pub cache_hit_ratio: f64,
 }
 
 /// Results of the full replay.
@@ -115,11 +114,12 @@ pub fn study(scale: Scale) -> NerscStudy {
     // Random over the same number of disks Pack_Disks used; add one-disk
     // headroom per 32 in case the random storage-only packing is unlucky.
     let rnd_fleet = pack_used + pack_used / 32 + 1;
-    let mut rnd_cfg = base;
+    let mut rnd_cfg = base.clone();
     rnd_cfg.allocator = Allocator::RandomFixed {
         disks: rnd_fleet as u32,
         seed: seed ^ 0x5A5A,
     };
+    let rnd_allocator = rnd_cfg.allocator;
     let random = Planner::new(rnd_cfg)
         .plan(&workload.catalog, rate)
         .expect("random fits with headroom");
@@ -130,23 +130,25 @@ pub fn study(scale: Scale) -> NerscStudy {
         .max(random.disk_slots());
 
     let thresholds = scale.threshold_hours();
-    let specs = series_specs();
-    // Each series is one (policy × cache) sweep: the threshold grid as
-    // fixed-threshold policies plus the never-spin-down normaliser, all
-    // fanned across threads by the generic sweep driver.
-    let base_cfg = spindown_sim::config::SimConfig::paper_default();
+    // Each series is one row of design points on its series' plan: the
+    // threshold grid as fixed-threshold policies plus the never-spin-down
+    // normaliser, fanned across threads and lowered by the joint planner.
+    let planner = JointPlanner::new(JointConfig {
+        base,
+        ..JointConfig::default_grid()
+    });
     let policies: Vec<PolicyChoice> = thresholds
         .iter()
         .map(|&hours| PolicyChoice::fixed(hours * 3600.0))
         .chain([PolicyChoice::never()])
         .collect();
-    let points: Vec<Vec<NerscPoint>> = specs
+    let points: Vec<Vec<NerscPoint>> = series_specs()
         .iter()
         .map(|spec| {
-            let assignment = match spec.allocator_kind {
-                AllocKind::Random => &random.assignment,
-                AllocKind::Pack => &pack.assignment,
-                AllocKind::Pack4 => &pack4.assignment,
+            let (allocator, plan) = match spec.allocator_kind {
+                AllocKind::Random => (rnd_allocator, &random),
+                AllocKind::Pack => (Allocator::PackDisks, &pack),
+                AllocKind::Pack4 => (Allocator::PackDisksV(4), &pack4),
             };
             let cache = if spec.cached {
                 CacheChoice::Flat {
@@ -156,27 +158,24 @@ pub fn study(scale: Scale) -> NerscStudy {
             } else {
                 CacheChoice::None
             };
-            let grid = policy_cache_grid(&policies, &[cache]);
-            let reports = run_sweep(
-                &workload.catalog,
-                &workload.trace,
-                assignment,
-                &base_cfg,
-                fleet,
-                &grid,
-            );
+            let cells = parallel_map(&policies, |_, &policy| {
+                let candidate = JointCandidate {
+                    allocator,
+                    policy,
+                    cache,
+                    ..JointCandidate::paper_default()
+                };
+                planner
+                    .evaluate(&candidate, plan, &workload.catalog, &workload.trace, fleet)
+                    .expect("NERSC series cell simulates")
+            });
             // Normaliser: the trailing never-spin-down run.
-            let e_never = reports
-                .last()
-                .expect("grid is non-empty")
-                .energy
-                .total_joules();
-            reports[..thresholds.len()]
+            let e_never = cells.last().expect("grid is non-empty").energy_j;
+            cells[..thresholds.len()]
                 .iter()
-                .map(|report| NerscPoint {
-                    power_saving: report.saving_vs(e_never),
-                    mean_response_s: report.responses.mean(),
-                    cache_hit_ratio: report.cache.as_ref().map_or(0.0, |c| c.hit_ratio()),
+                .map(|cell| NerscPoint {
+                    power_saving: 1.0 - cell.energy_j / e_never,
+                    mean_response_s: cell.mean_resp_s,
                 })
                 .collect()
         })

@@ -14,7 +14,6 @@ use spindown_core::{JointConfig, JointPlanner};
 use spindown_workload::FileCatalog;
 
 use crate::shootout::joint_mix_trace;
-use crate::sweep::run_joint;
 use crate::{Figure, Scale};
 
 /// Arrival rate of the planning instance (the shootout's R = 4).
@@ -30,7 +29,9 @@ pub fn joint(scale: Scale) -> Figure {
         cfg
     };
     let planner = JointPlanner::new(joint_cfg);
-    let outcome = run_joint(&planner, &catalog, &trace, RATE).expect("joint grid simulates");
+    let outcome = planner
+        .search(&catalog, &trace, RATE)
+        .expect("joint grid simulates");
 
     let mut fig = Figure::new(
         "joint",

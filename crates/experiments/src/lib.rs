@@ -7,9 +7,11 @@
 //! an aligned table and writes as CSV. A `replay` run with `--window SECS`
 //! returns a second `replay_windows` figure (the tumbling-window time
 //! series) alongside the legacy aggregate figure. Sweeps fan across OS threads through
-//! the [`sweep`] driver (scoped threads, no external runtime); every
-//! simulation is seeded deterministically from its grid point, so results
-//! do not depend on thread scheduling.
+//! [`spindown_core::parallel_map`] (scoped threads, no external runtime),
+//! and every design point is a [`spindown_core::JointCandidate`] lowered by
+//! [`spindown_core::JointPlanner`]; every simulation is seeded
+//! deterministically from its grid point, so results do not depend on
+//! thread scheduling.
 //!
 //! | Experiment | Paper artefact | Module |
 //! |------------|----------------|--------|
@@ -36,7 +38,6 @@ pub mod output;
 pub mod replay;
 pub mod sensitivity;
 pub mod shootout;
-pub mod sweep;
 pub mod tables;
 pub mod vsweep;
 

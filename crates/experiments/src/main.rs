@@ -57,6 +57,7 @@
 //! `ramps:T1=R1,T2=R2,…` (conflicts with `--trace-file`, which fixes every
 //! arrival already).
 
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -80,6 +81,16 @@ fn usage() -> &'static str {
      \u{20}     ramps:0=2,3600=8)\n\
      CMD: table1 table2 fig2 fig3 fig4 fig5 fig6 vsweep bounds sensitivity shootout joint\n\
      \u{20}    replay all   (--joint is accepted as an alias for the joint command)"
+}
+
+/// A closed stdout (`experiments … | head`) ends the run quietly; any
+/// other write failure is reported.
+fn stdout_failed(e: std::io::Error) -> ExitCode {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        return ExitCode::SUCCESS;
+    }
+    eprintln!("failed to write to stdout: {e}");
+    ExitCode::FAILURE
 }
 
 fn main() -> ExitCode {
@@ -256,6 +267,7 @@ fn main() -> ExitCode {
     let mut fig23_cache: Option<(Figure, Figure)> = None;
     let mut fig56_cache: Option<(Figure, Figure)> = None;
 
+    let mut stdout = std::io::stdout().lock();
     for cmd in &cmds {
         // Every command yields one figure except `replay`, which appends a
         // second (`replay_windows`) when `--window` is set.
@@ -324,13 +336,18 @@ fn main() -> ExitCode {
             }
         };
         for figure in &figures {
-            println!("{}", render_table(figure));
-            match write_csv(figure, &out_dir) {
-                Ok(path) => println!("wrote {}\n", path.display()),
+            if let Err(e) = writeln!(stdout, "{}", render_table(figure)) {
+                return stdout_failed(e);
+            }
+            let path = match write_csv(figure, &out_dir) {
+                Ok(path) => path,
                 Err(e) => {
                     eprintln!("failed to write CSV: {e}");
                     return ExitCode::FAILURE;
                 }
+            };
+            if let Err(e) = writeln!(stdout, "wrote {}\n", path.display()) {
+                return stdout_failed(e);
             }
         }
     }

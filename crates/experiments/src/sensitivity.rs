@@ -4,12 +4,11 @@
 //! the power/response trade-off shifts with the hardware's break-even
 //! characteristics.
 
-use spindown_core::{compare, Planner, PlannerConfig};
+use spindown_core::{compare, parallel_map, Planner, PlannerConfig};
 use spindown_disk::{break_even_threshold, DiskSpec};
 use spindown_packing::Allocator;
 use spindown_workload::{FileCatalog, Trace};
 
-use crate::sweep::parallel_map;
 use crate::{grid_seed, Figure, Scale};
 
 /// The drive presets studied, with stable indices used in the figure.

@@ -26,19 +26,21 @@
 //! transition energy again. This generalises the paper's two-way
 //! Pack_Disks-vs-random comparison into the design-space study its §6
 //! hints at.
+//!
+//! The figure is one table. Every design point is a [`JointCandidate`]
+//! lowered and simulated by [`JointPlanner`]; each bracket contributes
+//! `(note, cell)` rows plus the random-placement energy its saving column
+//! divides by, and one loop numbers the rows and writes each note with
+//! its row.
 
 use spindown_core::{
-    CacheChoice, DisciplineChoice, FaultChoice, JointConfig, JointOutcome, JointPlanner,
-    LadderChoice, MetricsMode, Plan, Planner, PlannerConfig, PolicyChoice,
+    parallel_map, CacheChoice, DisciplineChoice, FaultChoice, JointCandidate, JointCell,
+    JointConfig, JointOutcome, JointPlanner, LadderChoice, Plan, PolicyChoice,
 };
 use spindown_packing::Allocator;
 use spindown_workload::arrivals::BatchConfig;
 use spindown_workload::{FileCatalog, Trace};
 
-use crate::sweep::{
-    ladder_policy_grid, parallel_map, policy_cache_grid, policy_discipline_grid, run_joint,
-    run_sweep,
-};
 use crate::{grid_seed, Figure, Scale};
 
 /// The allocator competitors, with stable row indices. CHP (identical
@@ -90,6 +92,23 @@ pub fn ladder_policy_competitors() -> Vec<PolicyChoice> {
     ]
 }
 
+/// The ladder bracket's cells, ladder-outer: every ladder × the
+/// [`ladder_policy_competitors`], FIFO and no cache.
+pub fn ladder_candidates() -> Vec<JointCandidate> {
+    LadderChoice::all()
+        .into_iter()
+        .flat_map(|ladder| {
+            ladder_policy_competitors()
+                .into_iter()
+                .map(move |policy| JointCandidate {
+                    policy,
+                    ladder,
+                    ..JointCandidate::paper_default()
+                })
+        })
+        .collect()
+}
+
 /// The cache levels of the cache bracket: no cache, the paper's 16 GB
 /// DRAM front, and an 8× bigger one. Table 1 couples popularity inversely
 /// to size, so the hot set is small in bytes and even the 16 GB front
@@ -139,12 +158,6 @@ pub(crate) fn cache_bracket_trace(catalog: &FileCatalog, scale: Scale) -> Trace 
         scale.sim_time(),
         grid_seed(97, 0, 0),
     )
-}
-
-/// `label` with any cache suffix stripped — the (allocation, policy,
-/// discipline, ladder) quadruple shared by every cell of one cache level.
-fn quadruple_of(label: &str) -> String {
-    label.split('+').take(4).collect::<Vec<_>>().join("+")
 }
 
 /// The escalating fault regimes of the fault bracket: fault-free, a
@@ -248,22 +261,91 @@ pub(crate) fn joint_mix_trace(catalog: &FileCatalog, scale: Scale) -> Trace {
     Trace::batched(catalog, &cfg, scale.sim_time(), grid_seed(95, 0, 0))
 }
 
+/// One bracket of the shootout table: its rows, each the note labelling
+/// it and the cell it ran, the random-placement energy its saving column
+/// divides by, and an optional summary note closing the bracket.
+struct Bracket {
+    rows: Vec<(String, JointCell)>,
+    reference_j: f64,
+    summary: Option<String>,
+}
+
+/// The shared replay context of every bracket: one catalog, one fleet,
+/// and the joint planner that lowers and simulates each design point.
+struct Arena<'a> {
+    catalog: &'a FileCatalog,
+    fleet: usize,
+    planner: JointPlanner,
+}
+
+impl Arena<'_> {
+    /// Evaluate one design point on `plan` against `trace`.
+    fn cell(&self, candidate: &JointCandidate, plan: &Plan, trace: &Trace) -> JointCell {
+        self.planner
+            .evaluate(candidate, plan, self.catalog, trace, self.fleet)
+            .expect("shootout cell simulates")
+    }
+
+    /// Evaluate `candidates` on one `plan` against `trace`, fanned across
+    /// threads, in candidate order.
+    fn cells(&self, plan: &Plan, trace: &Trace, candidates: &[JointCandidate]) -> Vec<JointCell> {
+        parallel_map(candidates, |_, c| self.cell(c, plan, trace))
+    }
+
+    /// The saving reference of a bracket replaying `trace`: random
+    /// placement under the paper's default policy, discipline and ladder.
+    fn reference(&self, random: &(Allocator, Plan), trace: &Trace) -> f64 {
+        let (allocator, plan) = random;
+        let candidate = JointCandidate {
+            allocator: *allocator,
+            ..JointCandidate::paper_default()
+        };
+        self.cell(&candidate, plan, trace).energy_j
+    }
+
+    /// Run a joint search over `cfg` at this arena's fleet, asserting the
+    /// fleet held: the saving column divides by random placement's energy
+    /// at `fleet`, so a raised effective fleet would silently compare
+    /// across fleet sizes.
+    fn search(&self, cfg: JointConfig, trace: &Trace, rate: f64) -> JointOutcome {
+        let outcome = JointPlanner::new(JointConfig {
+            fleet: Some(self.fleet),
+            ..cfg
+        })
+        .search(self.catalog, trace, rate)
+        .expect("joint grid simulates");
+        assert_eq!(
+            outcome.fleet, self.fleet,
+            "joint grid fleet diverged from the random baseline's"
+        );
+        outcome
+    }
+}
+
+/// Pair each cell with the note `note` writes for it (given its index).
+fn labelled(
+    cells: Vec<JointCell>,
+    note: impl Fn(usize, &JointCell) -> String,
+) -> Vec<(String, JointCell)> {
+    cells
+        .into_iter()
+        .enumerate()
+        .map(|(j, cell)| (note(j, &cell), cell))
+        .collect()
+}
+
 /// Run the shootout at R = 4, L = 0.7 with FIFO queues (the paper's
 /// service model) and two-state drives for the allocator and policy rows.
 pub fn shootout(scale: Scale) -> Figure {
-    shootout_with(scale, DisciplineChoice::Fifo, LadderChoice::TwoState)
+    shootout_with_faults(scale, DisciplineChoice::Fifo, LadderChoice::TwoState, None)
 }
 
 /// Run the shootout with an explicit base queue discipline and power
 /// ladder for the allocator and policy rows (`--discipline` / `--ladder`
-/// in the CLI); the discipline rows always compare the whole discipline
-/// family and the ladder bracket always compares every ladder.
-pub fn shootout_with(scale: Scale, base: DisciplineChoice, base_ladder: LadderChoice) -> Figure {
-    shootout_with_faults(scale, base, base_ladder, None)
-}
-
-/// [`shootout_with`], with an optional extra fault regime (`--faults` in
-/// the CLI) appended to the fault bracket as a fourth `custom` level.
+/// in the CLI; the discipline rows always compare the whole discipline
+/// family and the ladder bracket always compares every ladder), and an
+/// optional extra fault regime (`--faults`) appended to the fault bracket
+/// as a fourth `custom` level.
 pub fn shootout_with_faults(
     scale: Scale,
     base: DisciplineChoice,
@@ -273,116 +355,121 @@ pub fn shootout_with_faults(
     let catalog = FileCatalog::paper_table1(scale.n_files(), 0);
     let rate = 4.0;
     let fleet = scale.fleet();
-    let trace = Trace::poisson(&catalog, rate, scale.sim_time(), grid_seed(90, 0, 0));
-
-    // Part 1: allocators under the default (break-even) policy.
-    let allocators = competitors(scale, fleet);
-    let alloc_results: Vec<(usize, f64, f64, f64, Plan)> = parallel_map(&allocators, |_, alloc| {
-        let mut cfg = PlannerConfig::default();
-        cfg.allocator = *alloc;
-        // Stream responses per row: the shootout never needs the samples
-        // back, only summary statistics.
-        cfg.sim = cfg
-            .sim
-            .with_discipline(base)
-            .with_metrics(MetricsMode::Histogram);
-        base_ladder.apply(&mut cfg.sim.disk);
-        let planner = Planner::new(cfg);
-        let plan = planner.plan(&catalog, rate).expect("plan feasible");
-        let report = planner
-            .evaluate_with_fleet(&plan, &catalog, &trace, fleet)
-            .expect("simulates");
-        (
-            plan.disks_used(),
-            report.energy.total_joules(),
-            report.responses.mean(),
-            report.response_p95(),
-            plan,
-        )
-    });
-    let random_energy = alloc_results.last().expect("random is last").1;
-
-    // Part 2: spin-down policies on the Pack_Disks allocation (row 0),
-    // fanned as one (policy × discipline) sweep grid at the base
-    // discipline.
-    let pack_plan = &alloc_results[0].4;
-    let policies = policy_competitors();
-    let mut grid = policy_discipline_grid(&policies, &[base]);
-    for spec in &mut grid {
-        spec.ladder = base_ladder;
-    }
-    // One shared base config: the single drive spec every sweep cell
-    // plans, builds policies and simulates against.
-    let base_cfg = spindown_sim::config::SimConfig::paper_default();
-    let policy_reports = run_sweep(
-        &catalog,
-        &trace,
-        &pack_plan.assignment,
-        &base_cfg,
+    let arena = Arena {
+        catalog: &catalog,
         fleet,
-        &grid,
-    );
+        planner: JointPlanner::new(JointConfig::default_grid()),
+    };
+    let trace = Trace::poisson(&catalog, rate, scale.sim_time(), grid_seed(90, 0, 0));
+    // The paper's default cell under the base discipline and ladder.
+    let base_cell = JointCandidate {
+        discipline: base,
+        ladder: base_ladder,
+        ..JointCandidate::paper_default()
+    };
+
+    // Part 1: allocators under the default (break-even) policy. Random
+    // placement is the last competitor and every bracket's reference.
+    let plans = JointPlanner::new(JointConfig {
+        allocators: competitors(scale, fleet),
+        ..JointConfig::default_grid()
+    })
+    .plan_allocations(&catalog, rate)
+    .expect("plan feasible");
+    let alloc_cells = parallel_map(&plans, |_, (allocator, plan)| {
+        let candidate = JointCandidate {
+            allocator: *allocator,
+            ..base_cell
+        };
+        arena.cell(&candidate, plan, &trace)
+    });
+    let random_energy = alloc_cells.last().expect("random is last").energy_j;
+    let pack_plan = &plans[0].1;
+    let random = plans.last().expect("random is last");
+    let mut brackets = vec![Bracket {
+        rows: labelled(alloc_cells, |_, c| {
+            format!(
+                "alloc {} (break_even policy, {} discipline)",
+                c.candidate.allocator.label(),
+                base.label()
+            )
+        }),
+        reference_j: random_energy,
+        summary: None,
+    }];
+
+    // Part 2: spin-down policies on the Pack_Disks allocation at the base
+    // discipline and ladder.
+    let policy_cells: Vec<JointCandidate> = policy_competitors()
+        .into_iter()
+        .map(|policy| JointCandidate {
+            policy,
+            ..base_cell
+        })
+        .collect();
+    brackets.push(Bracket {
+        rows: labelled(arena.cells(pack_plan, &trace, &policy_cells), |_, c| {
+            format!(
+                "policy {} (Pack_Disks allocation)",
+                c.candidate.short_label()
+            )
+        }),
+        reference_j: random_energy,
+        summary: None,
+    });
 
     // Part 3: queue disciplines on a spin-up-heavy bursty replay of the
-    // Pack_Disks allocation, under the break-even spin-down policy. The
-    // energy reference is random placement on the *same* bursty trace, so
-    // the saving column keeps one meaning per trace.
+    // Pack_Disks allocation, under the break-even spin-down policy. From
+    // here on the energy reference is random placement on the bracket's
+    // own trace, so the saving column keeps one meaning per trace.
     let bursty = spin_up_heavy_trace(&catalog, scale);
-    let disciplines = discipline_competitors();
-    let discipline_grid = policy_discipline_grid(&[PolicyChoice::break_even()], &disciplines);
-    let discipline_reports = run_sweep(
-        &catalog,
-        &bursty,
-        &pack_plan.assignment,
-        &base_cfg,
-        fleet,
-        &discipline_grid,
-    );
-    let random_plan = &alloc_results.last().expect("random is last").4;
-    let bursty_random_energy = run_sweep(
-        &catalog,
-        &bursty,
-        &random_plan.assignment,
-        &base_cfg,
-        fleet,
-        &policy_cache_grid(&[PolicyChoice::break_even()], &[CacheChoice::None]),
-    )[0]
-    .energy
-    .total_joules();
+    let bursty_random_energy = arena.reference(random, &bursty);
+    let discipline_cells: Vec<JointCandidate> = discipline_competitors()
+        .into_iter()
+        .map(|discipline| JointCandidate {
+            discipline,
+            ..JointCandidate::paper_default()
+        })
+        .collect();
+    brackets.push(Bracket {
+        rows: labelled(
+            arena.cells(pack_plan, &bursty, &discipline_cells),
+            |_, c| {
+                format!(
+                    "discipline {} (Pack_Disks allocation, break_even, spin-up-heavy bursts)",
+                    c.candidate.discipline.label()
+                )
+            },
+        ),
+        reference_j: bursty_random_energy,
+        summary: None,
+    });
 
     // Part 4: the power-ladder bracket — every ladder × the fixed-timeout
     // and lower-envelope policies, replayed on the spin-up-heavy bursts
-    // and on a NERSC-style batched trace. The saving reference is random
-    // placement on the row's trace, as in part 3.
-    let ladder_grid = ladder_policy_grid(&LadderChoice::all(), &ladder_policy_competitors());
+    // and on a NERSC-style batched trace.
     let nersc_style = nersc_style_trace(&catalog, scale);
-    let nersc_random_energy = run_sweep(
-        &catalog,
-        &nersc_style,
-        &random_plan.assignment,
-        &base_cfg,
-        fleet,
-        &policy_cache_grid(&[PolicyChoice::break_even()], &[CacheChoice::None]),
-    )[0]
-    .energy
-    .total_joules();
     let ladder_replays = [
         ("bursts", &bursty, bursty_random_energy),
-        ("nersc_style", &nersc_style, nersc_random_energy),
+        (
+            "nersc_style",
+            &nersc_style,
+            arena.reference(random, &nersc_style),
+        ),
     ];
-    let ladder_reports: Vec<Vec<spindown_sim::metrics::SimReport>> = ladder_replays
-        .iter()
-        .map(|(_, trace, _)| {
-            run_sweep(
-                &catalog,
-                trace,
-                &pack_plan.assignment,
-                &base_cfg,
-                fleet,
-                &ladder_grid,
-            )
-        })
-        .collect();
+    for (name, replay, reference_j) in ladder_replays {
+        let cells = arena.cells(pack_plan, replay, &ladder_candidates());
+        brackets.push(Bracket {
+            rows: labelled(cells, |_, c| {
+                format!(
+                    "ladder {} ({name} replay, Pack_Disks allocation)",
+                    c.candidate.short_label()
+                )
+            }),
+            reference_j,
+            summary: None,
+        });
+    }
 
     // Part 5: the joint bracket — instead of fixing three dimensions and
     // sweeping the fourth, search the full (allocation × policy ×
@@ -393,42 +480,32 @@ pub fn shootout_with_faults(
     // only improve on it; notes flag frontier membership and the winner
     // per replay.
     let dense_mix = joint_mix_trace(&catalog, scale);
-    let dense_random_energy = run_sweep(
-        &catalog,
-        &dense_mix,
-        &random_plan.assignment,
-        &base_cfg,
-        fleet,
-        &policy_cache_grid(&[PolicyChoice::break_even()], &[CacheChoice::None]),
-    )[0]
-    .energy
-    .total_joules();
     let joint_replays = [
         ("bursts", &bursty, bursty_random_energy),
-        ("dense_mix", &dense_mix, dense_random_energy),
+        ("dense_mix", &dense_mix, arena.reference(random, &dense_mix)),
     ];
-    let joint_cfg = {
-        let mut cfg = JointConfig::default_grid();
-        cfg.fleet = Some(fleet);
-        cfg
-    };
-    let joint_planner = JointPlanner::new(joint_cfg);
-    let joint_outcomes: Vec<JointOutcome> = joint_replays
-        .iter()
-        .map(|(_, trace, _)| {
-            let outcome =
-                run_joint(&joint_planner, &catalog, trace, rate).expect("joint grid simulates");
-            // The saving column divides by random placement's energy at
-            // `fleet`; if an allocation ever outgrows the floor the
-            // planner raises the effective fleet and the column would
-            // silently compare across fleet sizes.
-            assert_eq!(
-                outcome.fleet, fleet,
-                "joint bracket fleet diverged from the random baseline's"
-            );
-            outcome
-        })
-        .collect();
+    for (name, replay, reference_j) in joint_replays {
+        let JointOutcome {
+            cells,
+            frontier,
+            winner,
+            ..
+        } = arena.search(JointConfig::default_grid(), replay, rate);
+        brackets.push(Bracket {
+            rows: labelled(cells, |j, c| {
+                let mut tags = String::new();
+                if frontier.contains(&j) {
+                    tags.push_str(", frontier");
+                }
+                if j == winner {
+                    tags.push_str(", winner");
+                }
+                format!("joint {} ({name} replay{tags})", c.candidate.label())
+            }),
+            reference_j,
+            summary: None,
+        });
+    }
 
     // Part 6: the cache bracket — the joint grid's fifth (cache) leg in
     // isolation: both ladders at the fixed fleet, Pack_Disks allocation
@@ -440,85 +517,91 @@ pub fn shootout_with_faults(
     // budget, and the per-level winners show the bigger front lengthening
     // idle gaps enough to flip the winning ladder.
     let cache_trace = cache_bracket_trace(&catalog, scale);
-    let cache_random_energy = run_sweep(
-        &catalog,
-        &cache_trace,
-        &random_plan.assignment,
-        &base_cfg,
-        fleet,
-        &policy_cache_grid(&[PolicyChoice::break_even()], &[CacheChoice::None]),
-    )[0]
-    .energy
-    .total_joules();
     let cache_cfg = cache_bracket_config(fleet);
-    let cache_objective = cache_cfg.objective;
-    let cache_outcome = run_joint(
-        &JointPlanner::new(cache_cfg),
-        &catalog,
-        &cache_trace,
-        CACHE_BRACKET_RATE,
-    )
-    .expect("cache bracket simulates");
-    assert_eq!(
-        cache_outcome.fleet, fleet,
-        "cache bracket fleet diverged from the random baseline's"
-    );
-    let cache_level_winners: Vec<(CacheChoice, usize)> = cache_levels()
+    let objective = cache_cfg.objective;
+    let cells = arena
+        .search(cache_cfg, &cache_trace, CACHE_BRACKET_RATE)
+        .cells;
+    let score = |i: usize| objective.score(cells[i].energy_j, cells[i].p95_s);
+    let level_winners: Vec<(CacheChoice, usize)> = cache_levels()
         .into_iter()
         .map(|level| {
-            let idx = (0..cache_outcome.cells.len())
-                .filter(|&i| cache_outcome.cells[i].candidate.cache == level)
-                .min_by(|&a, &b| {
-                    let cell = |i: usize| &cache_outcome.cells[i];
-                    cache_objective
-                        .score(cell(a).energy_j, cell(a).p95_s)
-                        .total_cmp(&cache_objective.score(cell(b).energy_j, cell(b).p95_s))
-                })
+            let winner = (0..cells.len())
+                .filter(|&i| cells[i].candidate.cache == level)
+                .min_by(|&a, &b| score(a).total_cmp(&score(b)))
                 .expect("every cache level has cells");
-            (level, idx)
+            (level, winner)
         })
         .collect();
+    let summary = level_winners
+        .iter()
+        .map(|&(level, w)| {
+            let quadruple = JointCandidate {
+                cache: CacheChoice::None,
+                ..cells[w].candidate
+            };
+            format!("{}→{}", level.label(), quadruple.label())
+        })
+        .collect::<Vec<_>>()
+        .join(", ");
+    brackets.push(Bracket {
+        rows: labelled(cells, |j, c| {
+            let tags = level_winners
+                .iter()
+                .find(|&&(_, w)| w == j)
+                .map(|(level, _)| format!(", winner@{}", level.label()))
+                .unwrap_or_default();
+            format!("cache {} (R=2.5 poisson replay{tags})", c.candidate.label())
+        }),
+        reference_j: arena.reference(random, &cache_trace),
+        summary: Some(format!(
+            "cache bracket winners (energy×p95, equal fleet {fleet}, R=2.5 poisson): {summary}"
+        )),
+    });
 
     // Part 7: the fault bracket — (break-even vs never) × both ladders on
-    // the spin-up-heavy bursts (shared with parts 3/4: disks sleep out the
-    // inter-burst gaps, so the fault-free winner is a deep-sleep cell),
-    // replayed under each fault regime of [`fault_levels`]. Wake failures
-    // tax exactly what the deep-sleep cell does most — spin up — so the
-    // heavy level dethrones the fault-free winner; the saving column keeps
-    // the bursty random-placement reference, and a fault level is an
-    // environment, not hardware, so cross-level savings stay comparable.
+    // a wake-cycle burst replay (disks sleep out the inter-burst gaps, so
+    // the fault-free winner is a deep-sleep cell), replayed under each
+    // fault regime of [`fault_levels`]. Wake failures tax exactly what the
+    // deep-sleep cell does most — spin up — so the heavy level dethrones
+    // the fault-free winner; every level shares one random-placement
+    // reference, and a fault level is an environment, not hardware, so
+    // cross-level savings stay comparable.
     let mut fault_grid = fault_levels();
     if let Some(custom) = custom_fault {
         fault_grid.push(("custom", custom));
     }
     let fault_trace = fault_bracket_trace(&catalog, scale);
-    let fault_random_energy = run_sweep(
-        &catalog,
-        &fault_trace,
-        &random_plan.assignment,
-        &base_cfg,
-        fleet,
-        &policy_cache_grid(&[PolicyChoice::break_even()], &[CacheChoice::None]),
-    )[0]
-    .energy
-    .total_joules();
-    let fault_outcomes: Vec<(&str, JointOutcome)> = fault_grid
-        .iter()
-        .map(|(name, choice)| {
-            let outcome = run_joint(
-                &JointPlanner::new(fault_bracket_config(fleet, choice.clone())),
-                &catalog,
-                &fault_trace,
-                rate,
+    let mut rows = Vec::new();
+    let mut winners = Vec::new();
+    for (name, choice) in fault_grid {
+        let outcome = arena.search(fault_bracket_config(fleet, choice), &fault_trace, rate);
+        winners.push(format!(
+            "{name}→{}",
+            outcome.winner_cell().candidate.label()
+        ));
+        rows.extend(labelled(outcome.cells, |j, c| {
+            let mut tags = String::new();
+            if j == outcome.winner {
+                tags.push_str(", winner");
+            }
+            if let Some(a) = c.availability {
+                tags.push_str(&format!(", avail={a:.4}"));
+            }
+            format!(
+                "fault {} @{name} (wake-cycle bursts replay{tags})",
+                c.candidate.label()
             )
-            .expect("fault bracket simulates");
-            assert_eq!(
-                outcome.fleet, fleet,
-                "fault bracket fleet diverged from the random baseline's"
-            );
-            (*name, outcome)
-        })
-        .collect();
+        }));
+    }
+    brackets.push(Bracket {
+        rows,
+        reference_j: arena.reference(random, &fault_trace),
+        summary: Some(format!(
+            "fault bracket winners (energy×p95, equal fleet {fleet}, wake-cycle bursts): {}",
+            winners.join(", ")
+        )),
+    });
 
     let mut fig = Figure::new(
         "shootout",
@@ -532,195 +615,20 @@ pub fn shootout_with_faults(
             "resp_p95_s".into(),
         ],
     );
-    for (idx, alloc) in allocators.iter().enumerate() {
-        fig.notes.push(format!(
-            "row {idx} = alloc {} (break_even policy, {} discipline)",
-            alloc.label(),
-            base.label()
-        ));
-    }
-    for (j, spec) in grid.iter().enumerate() {
-        fig.notes.push(format!(
-            "row {} = policy {} (Pack_Disks allocation)",
-            allocators.len() + j,
-            spec.label()
-        ));
-    }
-    for (j, spec) in discipline_grid.iter().enumerate() {
-        fig.notes.push(format!(
-            "row {} = discipline {} (Pack_Disks allocation, break_even, spin-up-heavy bursts)",
-            allocators.len() + grid.len() + j,
-            spec.discipline.label()
-        ));
-    }
-    let ladder_rows_base = allocators.len() + grid.len() + discipline_grid.len();
-    {
-        let mut row = ladder_rows_base;
-        for (name, _, _) in &ladder_replays {
-            for spec in &ladder_grid {
-                fig.notes.push(format!(
-                    "row {row} = ladder {} ({name} replay, Pack_Disks allocation)",
-                    spec.label()
-                ));
-                row += 1;
-            }
-        }
-    }
-    let joint_rows_base = ladder_rows_base + 2 * ladder_grid.len();
-    {
-        let mut row = joint_rows_base;
-        for ((name, _, _), outcome) in joint_replays.iter().zip(&joint_outcomes) {
-            for (j, cell) in outcome.cells.iter().enumerate() {
-                let mut tags = String::new();
-                if outcome.frontier.contains(&j) {
-                    tags.push_str(", frontier");
-                }
-                if j == outcome.winner {
-                    tags.push_str(", winner");
-                }
-                fig.notes.push(format!(
-                    "row {row} = joint {} ({name} replay{tags})",
-                    cell.candidate.label()
-                ));
-                row += 1;
-            }
-        }
-    }
-    let cache_rows_base =
-        joint_rows_base + joint_outcomes.iter().map(|o| o.cells.len()).sum::<usize>();
-    {
-        for (row, (j, cell)) in (cache_rows_base..).zip(cache_outcome.cells.iter().enumerate()) {
-            let mut tags = String::new();
-            if let Some((level, _)) = cache_level_winners.iter().find(|&&(_, w)| w == j) {
-                tags = format!(", winner@{}", level.label());
-            }
-            fig.notes.push(format!(
-                "row {row} = cache {} (R=2.5 poisson replay{tags})",
-                cell.candidate.label()
-            ));
-        }
-        fig.notes.push(format!(
-            "cache bracket winners (energy×p95, equal fleet {fleet}, R=2.5 poisson): {}",
-            cache_level_winners
-                .iter()
-                .map(|&(level, w)| {
-                    format!(
-                        "{}→{}",
-                        level.label(),
-                        quadruple_of(&cache_outcome.cells[w].candidate.label())
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-    }
-    let fault_rows_base = cache_rows_base + cache_outcome.cells.len();
-    {
-        let mut row = fault_rows_base;
-        for (name, outcome) in &fault_outcomes {
-            for (j, cell) in outcome.cells.iter().enumerate() {
-                let mut tags = String::new();
-                if j == outcome.winner {
-                    tags.push_str(", winner");
-                }
-                if let Some(a) = cell.availability {
-                    tags.push_str(&format!(", avail={a:.4}"));
-                }
-                fig.notes.push(format!(
-                    "row {row} = fault {} @{name} (wake-cycle bursts replay{tags})",
-                    cell.candidate.label()
-                ));
-                row += 1;
-            }
-        }
-        fig.notes.push(format!(
-            "fault bracket winners (energy×p95, equal fleet {fleet}, wake-cycle bursts): {}",
-            fault_outcomes
-                .iter()
-                .map(|(name, o)| {
-                    format!(
-                        "{name}→{}",
-                        quadruple_of(&o.winner_cell().candidate.label())
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-    }
-    for (idx, (disks, energy, resp, p95, _)) in alloc_results.iter().enumerate() {
-        fig.push_row(vec![
-            idx as f64,
-            *disks as f64,
-            1.0 - energy / random_energy,
-            *resp,
-            *p95,
-        ]);
-    }
-    let pack_disks_used = alloc_results[0].0;
-    for (j, report) in policy_reports.iter().enumerate() {
-        fig.push_row(vec![
-            (allocators.len() + j) as f64,
-            pack_disks_used as f64,
-            1.0 - report.energy.total_joules() / random_energy,
-            report.responses.mean(),
-            report.response_p95(),
-        ]);
-    }
-    for (j, report) in discipline_reports.iter().enumerate() {
-        fig.push_row(vec![
-            (allocators.len() + grid.len() + j) as f64,
-            pack_disks_used as f64,
-            1.0 - report.energy.total_joules() / bursty_random_energy,
-            report.responses.mean(),
-            report.response_p95(),
-        ]);
-    }
-    let mut row = ladder_rows_base;
-    for ((_, _, random_energy), reports) in ladder_replays.iter().zip(&ladder_reports) {
-        for report in reports {
-            fig.push_row(vec![
-                row as f64,
-                pack_disks_used as f64,
-                1.0 - report.energy.total_joules() / random_energy,
-                report.responses.mean(),
-                report.response_p95(),
-            ]);
-            row += 1;
-        }
-    }
-    for ((_, _, random_energy), outcome) in joint_replays.iter().zip(&joint_outcomes) {
-        for cell in &outcome.cells {
+    let mut row = 0usize;
+    for bracket in brackets {
+        for (note, cell) in bracket.rows {
+            fig.notes.push(format!("row {row} = {note}"));
             fig.push_row(vec![
                 row as f64,
                 cell.disks_used as f64,
-                1.0 - cell.energy_j / random_energy,
+                1.0 - cell.energy_j / bracket.reference_j,
                 cell.mean_resp_s,
                 cell.p95_s,
             ]);
             row += 1;
         }
-    }
-    for cell in &cache_outcome.cells {
-        fig.push_row(vec![
-            row as f64,
-            cell.disks_used as f64,
-            1.0 - cell.energy_j / cache_random_energy,
-            cell.mean_resp_s,
-            cell.p95_s,
-        ]);
-        row += 1;
-    }
-    for (_, outcome) in &fault_outcomes {
-        for cell in &outcome.cells {
-            fig.push_row(vec![
-                row as f64,
-                cell.disks_used as f64,
-                1.0 - cell.energy_j / fault_random_energy,
-                cell.mean_resp_s,
-                cell.p95_s,
-            ]);
-            row += 1;
-        }
+        fig.notes.extend(bracket.summary);
     }
     fig
 }
@@ -753,8 +661,7 @@ mod tests {
         let n_alloc = competitors(Scale::Quick, 100).len();
         let n_policy = policy_competitors().len();
         let n_disc = discipline_competitors().len();
-        let n_ladder =
-            2 * ladder_policy_grid(&LadderChoice::all(), &ladder_policy_competitors()).len();
+        let n_ladder = 2 * ladder_candidates().len();
         let n_joint = 2 * n_joint_cells();
         assert_eq!(
             fig.rows.len(),
@@ -849,7 +756,7 @@ mod tests {
         let n_alloc = competitors(Scale::Quick, 100).len();
         let n_policy = policy_competitors().len();
         let n_disc = discipline_competitors().len();
-        let grid = ladder_policy_grid(&LadderChoice::all(), &ladder_policy_competitors());
+        let grid = ladder_candidates();
         let savings = fig.series("saving_vs_rnd").unwrap();
         let p95s = fig.series("resp_p95_s").unwrap();
         let base = n_alloc + n_policy + n_disc;
@@ -857,9 +764,9 @@ mod tests {
             .map(|replay| {
                 grid.iter()
                     .enumerate()
-                    .map(|(j, spec)| {
+                    .map(|(j, cell)| {
                         let row = base + replay * grid.len() + j;
-                        (spec.label(), savings[row], p95s[row])
+                        (cell.short_label(), savings[row], p95s[row])
                     })
                     .collect()
             })
@@ -901,7 +808,7 @@ mod tests {
     #[test]
     fn ladder_bracket_emits_both_replays_with_notes() {
         let fig = shootout(Scale::Quick);
-        let grid = ladder_policy_grid(&LadderChoice::all(), &ladder_policy_competitors());
+        let grid = ladder_candidates();
         let n_alloc = competitors(Scale::Quick, 100).len();
         let n_rows = n_alloc
             + policy_competitors().len()
@@ -920,11 +827,11 @@ mod tests {
             );
         }
         // Every bracket row labels its ladder and policy.
-        for spec in &grid {
+        for cell in &grid {
             assert!(
-                fig.notes.iter().any(|n| n.contains(&spec.label())),
+                fig.notes.iter().any(|n| n.contains(&cell.short_label())),
                 "missing note for {}",
-                spec.label()
+                cell.short_label()
             );
         }
     }
@@ -1139,10 +1046,11 @@ mod tests {
 
     #[test]
     fn shootout_with_sjf_base_labels_the_policy_rows() {
-        let fig = shootout_with(
+        let fig = shootout_with_faults(
             Scale::Quick,
             DisciplineChoice::sjf(),
             LadderChoice::TwoState,
+            None,
         );
         assert!(
             fig.notes.iter().any(|n| n.contains("break_even+sjf_a30s")),

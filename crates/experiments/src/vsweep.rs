@@ -7,14 +7,13 @@
 //! The bursty arrivals (batches of similar-size files, §3.2) are what make
 //! `v > 1` matter.
 
-use spindown_core::{Planner, PlannerConfig};
+use spindown_core::{parallel_map, Planner, PlannerConfig};
 use spindown_packing::Allocator;
 use spindown_sim::config::{SimConfig, ThresholdPolicy};
 use spindown_sim::engine::Simulator;
 use spindown_workload::arrivals::BatchConfig;
 use spindown_workload::nersc::{self, NerscConfig};
 
-use crate::sweep::parallel_map;
 use crate::{grid_seed, Figure, Scale};
 
 /// The idleness threshold the paper fixes for this sweep (0.5 h).

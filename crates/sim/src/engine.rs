@@ -117,6 +117,14 @@ pub enum SimError {
         /// The rejected width, seconds.
         width: f64,
     },
+    /// A `crash@…:dN` or `failslow:dN:…` clause of `SimConfig::faults`
+    /// names a disk outside the simulated fleet.
+    FaultTargetOutsideFleet {
+        /// The global disk id the plan targets.
+        disk: usize,
+        /// Fleet size of the run.
+        fleet: usize,
+    },
     /// Internal state-machine violation (a bug — should never surface).
     Transition(TransitionError),
     /// The streaming trace source failed mid-replay (I/O error, malformed
@@ -137,6 +145,10 @@ impl std::fmt::Display for SimError {
             SimError::BadWindowWidth { width } => {
                 write!(f, "window width must be finite and positive, got {width}")
             }
+            SimError::FaultTargetOutsideFleet { disk, fleet } => write!(
+                f,
+                "fault plan targets disk {disk}, but the fleet has {fleet} disks"
+            ),
             SimError::Transition(e) => write!(f, "disk state machine error: {e}"),
             SimError::Source(e) => write!(f, "trace source failed: {e}"),
             SimError::CompletionLogIo(e) => write!(f, "completion log I/O failed: {e}"),
@@ -222,11 +234,12 @@ pub struct Simulator<'a, S: TraceSource> {
     events: EventQueue,
     cache: CacheFront,
     /// In exact mode: the live global response collector (disk completions
-    /// and cache hits, recorded in completion order). In histogram mode:
-    /// only cache hits are recorded here live — the global collector is
-    /// *derived* at finish by merging the per-disk collectors in disk
-    /// order, the canonical derivation that makes histogram-mode reports
-    /// bit-identical at every shard count.
+    /// and cache hits, recorded in completion order). In histogram mode it
+    /// stays empty during the run — cache hits, like disk completions, go
+    /// to the per-disk collectors — and is *derived* at finish by merging
+    /// the per-disk collectors in disk order, the canonical derivation
+    /// that makes histogram-mode reports bit-identical at every shard
+    /// count.
     responses: ResponseStats,
     /// Whether disk completions record into `responses` live (exact mode).
     record_global: bool,
@@ -307,7 +320,9 @@ impl<'a, S: TraceSource + Send> Simulator<'a, S> {
     ///
     /// A fleet of exactly zero disks is accepted only for an assignment
     /// using zero slots (and, transitively, an empty trace): the simulation
-    /// then covers no disks and reports `disks == 0`.
+    /// then covers no disks and reports `disks == 0`. A fault plan whose
+    /// crash or fail-slow clause names a disk outside the fleet is rejected
+    /// before any shard starts ([`SimError::FaultTargetOutsideFleet`]).
     pub fn run_with_policy(
         catalog: &'a FileCatalog,
         source: S,
@@ -320,6 +335,14 @@ impl<'a, S: TraceSource + Send> Simulator<'a, S> {
             if !(width.is_finite() && width > 0.0) {
                 return Err(SimError::BadWindowWidth { width });
             }
+        }
+        let faults = &cfg.faults;
+        let targets = faults.crashes.iter().map(|c| c.disk);
+        if let Some(disk) = targets
+            .chain(faults.failslow.iter().map(|f| f.disk))
+            .find(|&disk| disk >= fleet)
+        {
+            return Err(SimError::FaultTargetOutsideFleet { disk, fleet });
         }
         let required = assignment.disk_slots();
         if fleet < required {
@@ -903,10 +926,11 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
     }
 
     /// Integrate energy to `t_end` and assemble the report. In histogram
-    /// mode the global response collector is derived here — cache-hit
-    /// collector first, then the per-disk collectors merged in ascending
-    /// disk order — so the global statistics are a pure function of the
-    /// per-disk trajectories, identical however the fleet was sharded.
+    /// mode the global response collector is derived here, starting empty
+    /// and merging the per-disk collectors (cache hits included) in
+    /// ascending disk order, so the global statistics are a pure function
+    /// of the per-disk trajectories, identical however the fleet was
+    /// sharded.
     pub(crate) fn finish_at(mut self, t_end: f64) -> Result<SimReport, SimError> {
         if !self.record_global {
             for per_disk in &self.per_disk_responses {
@@ -1745,6 +1769,31 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn fault_targets_outside_the_fleet_are_an_error_at_any_shard_count() {
+        let (cat, tr) = (catalog(4, 10 * MB), trace(&[(1.0, 0), (2.0, 3)], 100.0));
+        for (spec, disk) in [
+            ("crash@t=5:d999", 999),
+            ("failslow:d4:x2@0..10", 4),
+            ("crash@t=5:d3 | crash@t=9:d7", 7),
+        ] {
+            for shards in [1usize, 4] {
+                let mut cfg = SimConfig::paper_default().with_shards(shards);
+                cfg.faults = spindown_workload::FaultPlan::parse(spec).unwrap();
+                let err = run_fleet(&cat, &tr, &assignment(&[0, 1, 2, 3]), &cfg, 4).unwrap_err();
+                assert!(
+                    matches!(err, SimError::FaultTargetOutsideFleet { disk: d, fleet: 4 } if d == disk),
+                    "{spec} S={shards}: {err}"
+                );
+                assert!(err.to_string().contains(&format!("disk {disk}")), "{err}");
+            }
+        }
+        // The last in-fleet disk is a valid target.
+        let mut cfg = SimConfig::paper_default();
+        cfg.faults = spindown_workload::FaultPlan::parse("crash@t=5:d3").unwrap();
+        assert!(run_fleet(&cat, &tr, &assignment(&[0, 1, 2, 3]), &cfg, 4).is_ok());
     }
 }
 
