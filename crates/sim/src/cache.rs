@@ -82,14 +82,31 @@ impl CacheStats {
 
     /// Fold `other` into `self` field-wise. Integer addition commutes
     /// exactly, so absorbing per-tier (or per-shard) counters in any order
-    /// yields the same aggregate — the property the sharded report merge
-    /// relies on.
+    /// yields the same aggregate — the property the report assembly relies
+    /// on.
     pub fn absorb(&mut self, other: &CacheStats) {
         self.hits += other.hits;
         self.misses += other.misses;
         self.resident_bytes += other.resident_bytes;
         self.evicted_bytes += other.evicted_bytes;
         self.oversize_rejections += other.oversize_rejections;
+    }
+
+    /// A tier stack (shallowest first) seen as one cache: hits, byte and
+    /// oversize counters sum over the tiers, misses are the deepest
+    /// tier's — a request misses the stack only by missing every tier.
+    /// `hits + misses` then still counts every probed request, because
+    /// each deeper tier only sees the previous tier's misses.
+    pub fn of_tiers(tiers: &[CacheStats]) -> CacheStats {
+        let mut agg = CacheStats::default();
+        for t in tiers {
+            agg.hits += t.hits;
+            agg.resident_bytes += t.resident_bytes;
+            agg.evicted_bytes += t.evicted_bytes;
+            agg.oversize_rejections += t.oversize_rejections;
+        }
+        agg.misses = tiers.last().map_or(0, |t| t.misses);
+        agg
     }
 }
 

@@ -189,9 +189,9 @@ const SJF_HEAP_THRESHOLD: usize = 32;
 /// deque is always the oldest pending request (the aging probe) regardless
 /// of discipline.
 ///
-/// Under shortest-job-first the queue is adaptive. Shallow queues (≤
-/// [`SJF_HEAP_THRESHOLD`]) run the original linear `min_by_key` scan —
-/// cheapest at the depths a healthy disk sees. The first push beyond the
+/// Under shortest-job-first the queue is adaptive. Shallow queues (≤ 32
+/// entries) run the original linear `min_by_key` scan — cheapest at the
+/// depths a healthy disk sees. The first push beyond the
 /// threshold engages *heap mode*: every entry then lives in two structures
 /// — the arrival-order deque (the aging probe) and a binary min-heap keyed
 /// by `(bytes, seq)` — and a pop serves from one structure while lazily

@@ -5,13 +5,12 @@
 //! ## Semantics (matching §4 of the paper)
 //!
 //! - A request is dispatched to the disk holding its file. If a cache
-//!   [`CacheHierarchy`](crate::hierarchy::CacheHierarchy) is configured —
-//!   §5.1's flat LRU or several tiers — the whole file
-//!   is looked up first, tier by tier; a hit is served at the hit tier's
-//!   bandwidth without touching the disk (in particular the disk's idle
-//!   clock keeps running — a cache's entire contribution to the power
-//!   model is lengthening idle gaps), and a miss is admitted to every tier
-//!   probed *and* forwarded to the disk.
+//!   [`CacheHierarchy`] is configured — §5.1's flat LRU or several tiers
+//!   — the whole file is looked up first, tier by tier; a hit is served
+//!   at the hit tier's bandwidth without touching the disk (in particular
+//!   the disk's idle clock keeps running — a cache's entire contribution
+//!   to the power model is lengthening idle gaps), and a miss is admitted
+//!   to every tier probed *and* forwarded to the disk.
 //! - Disks serve their queue per the configured
 //!   [`DisciplineChoice`](crate::discipline::DisciplineChoice) — FIFO by
 //!   default, matching the paper. Service = seek + rotation + transfer;
@@ -69,19 +68,21 @@
 //! ## Sharded replay
 //!
 //! After allocation every disk's request stream is independent, so
-//! `cfg.shards > 1` partitions the fleet by disk id (`disk % shards`),
-//! runs one event loop per shard on its own thread and merges the
-//! per-shard reports — see [`crate::shard`] for the merge rules and the
-//! determinism argument. Every entry point shards the same way: the
-//! calling thread demultiplexes the source into bounded per-shard channels
-//! ([`spindown_workload::demux`]), so the trace is read exactly once.
+//! `cfg.shards > 1` partitions the fleet by disk id (`disk % shards`) and
+//! runs one event loop per shard on its own thread. Every run, sharded or
+//! not, ends in the same tail: each event loop finishes at the common end
+//! time and hands back its per-disk results, and one assembly folds them
+//! in ascending global disk order into the [`SimReport`]. Every entry
+//! point shards the same way: the calling thread demultiplexes the source
+//! into bounded per-shard channels ([`spindown_workload::demux`]), so the
+//! trace is read exactly once.
 //! Global-scope caches shard too: each shard owns the `shard_fleet /
 //! fleet` slice of the configured budget that fronts its own disks'
 //! files, keeping the tier walk lock-free. The completion log streams
 //! through per-shard writers k-way merged by `(time, req)`
-//! ([`crate::complog`]). Histogram-mode metrics, energy totals, cache
-//! statistics and the completion log are bit-identical at every shard
-//! count.
+//! (`complog`). The report — energy, response statistics in both metrics
+//! modes, cache statistics, windows and the completion log — is
+//! bit-identical at every shard count.
 
 use spindown_disk::state::TransitionError;
 use spindown_packing::Assignment;
@@ -94,8 +95,9 @@ use crate::config::SimConfig;
 use crate::event::{Event, EventQueue};
 use crate::fault::{FaultRuntime, Service, Wake};
 use crate::hierarchy::{CacheHierarchy, CacheScope};
-use crate::metrics::{Completion, MetricsMode, ResponseStats, SimReport};
+use crate::metrics::{Completion, ResponseStats, SimReport};
 use crate::policy::{DescentStep, PowerPolicy, TimeoutPolicy};
+use crate::shard::EngineParts;
 
 /// Simulation failures.
 #[derive(Debug)]
@@ -116,6 +118,14 @@ pub enum SimError {
     BadWindowWidth {
         /// The rejected width, seconds.
         width: f64,
+    },
+    /// A [`PowerPolicy`] answered with a descent delay that is not finite
+    /// and non-negative.
+    BadPolicyDelay {
+        /// The policy's [`PowerPolicy::name`].
+        policy: String,
+        /// The rejected delay, seconds.
+        delay: f64,
     },
     /// A `crash@…:dN` or `failslow:dN:…` clause of `SimConfig::faults`
     /// names a disk outside the simulated fleet.
@@ -144,6 +154,9 @@ impl std::fmt::Display for SimError {
             }
             SimError::BadWindowWidth { width } => {
                 write!(f, "window width must be finite and positive, got {width}")
+            }
+            SimError::BadPolicyDelay { policy, delay } => {
+                write!(f, "policy {policy} returned bad descent delay {delay}")
             }
             SimError::FaultTargetOutsideFleet { disk, fleet } => write!(
                 f,
@@ -233,16 +246,9 @@ pub struct Simulator<'a, S: TraceSource> {
     timers: Vec<TimerState>,
     events: EventQueue,
     cache: CacheFront,
-    /// In exact mode: the live global response collector (disk completions
-    /// and cache hits, recorded in completion order). In histogram mode it
-    /// stays empty during the run — cache hits, like disk completions, go
-    /// to the per-disk collectors — and is *derived* at finish by merging
-    /// the per-disk collectors in disk order, the canonical derivation
-    /// that makes histogram-mode reports bit-identical at every shard
-    /// count.
-    responses: ResponseStats,
-    /// Whether disk completions record into `responses` live (exact mode).
-    record_global: bool,
+    /// One response collector per local disk: its completions and the
+    /// cache hits on its files. The report's global collector is these
+    /// merged in ascending global disk order.
     per_disk_responses: Vec<ResponseStats>,
     /// The completion-log front, when logging is on: canonicalises this
     /// engine's completion stream and forwards it to a terminal sink
@@ -314,15 +320,17 @@ impl<'a, S: TraceSource + Send> Simulator<'a, S> {
     /// consulted fleet-wide — see a different interleaving per shard count
     /// and are not shard-count-invariant.)
     ///
-    /// Histogram-mode metrics and all energy totals are bit-identical for
-    /// every shard count; exact-mode quantiles are bit-identical while the
-    /// global mean may differ by float-summation order.
+    /// The report is bit-identical for every shard count, in both metrics
+    /// modes: every fleet field is a fold over the per-disk results in
+    /// ascending global disk order.
     ///
     /// A fleet of exactly zero disks is accepted only for an assignment
     /// using zero slots (and, transitively, an empty trace): the simulation
     /// then covers no disks and reports `disks == 0`. A fault plan whose
     /// crash or fail-slow clause names a disk outside the fleet is rejected
-    /// before any shard starts ([`SimError::FaultTargetOutsideFleet`]).
+    /// before any shard starts ([`SimError::FaultTargetOutsideFleet`]). A
+    /// policy that answers with a non-finite or negative descent delay
+    /// ends the run with [`SimError::BadPolicyDelay`].
     pub fn run_with_policy(
         catalog: &'a FileCatalog,
         source: S,
@@ -373,17 +381,16 @@ impl<'a, S: TraceSource + Send> Simulator<'a, S> {
             factory(0),
             None,
         )?;
-        let t_end = sim.horizon.max(sim.last_event_time);
-        sim.finish_at(t_end)
+        crate::shard::finish_run(cfg, vec![sim], None)
     }
 }
 
 impl<'a, S: TraceSource> Simulator<'a, S> {
     /// Construct the simulator, prime it and drive the event loop to
     /// exhaustion, returning the drained simulator *without* finishing it —
-    /// the sharded driver needs every shard drained before the common end
-    /// time (`horizon.max(`max over shards of [`Self::last_event_time`]`)`)
-    /// is known. `file_to_disk` maps file index → actor index (possibly a
+    /// the run tail needs every engine drained before the common end time
+    /// (`horizon.max(`max over engines of [`Self::last_event_time`]`)`) is
+    /// known. `file_to_disk` maps file index → actor index (possibly a
     /// shard-local index); `usize::MAX` marks unmapped files. `fleet` is
     /// the number of actors *this* engine instance simulates;
     /// `global_fleet` is the whole fleet (they differ only in a sharded
@@ -395,7 +402,8 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
     /// RNG streams off global ids so fault draws are shard-invariant.
     /// `log_tx`, when given, routes this shard's completion-log stream to
     /// the merger thread instead of a terminal sink (the sharded path —
-    /// the merger owns the sink).
+    /// the merger owns the sink; unsharded, [`Self::take_log_sink`] hands
+    /// the sink to the run tail).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_drained(
         catalog: &'a FileCatalog,
@@ -448,8 +456,6 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
             timers: vec![TimerState::default(); fleet],
             events: EventQueue::new(),
             cache,
-            responses: ResponseStats::with_mode(cfg.metrics),
-            record_global: cfg.metrics == MetricsMode::Exact,
             per_disk_responses: vec![ResponseStats::with_mode(cfg.metrics); fleet],
             complog,
             policy,
@@ -468,7 +474,7 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
                 a.enable_windows(width, cfg.metrics);
             }
         }
-        sim.prime();
+        sim.prime()?;
         sim.drive()?;
         if let Some(w) = &mut sim.complog {
             // Flush the writer (and, sharded, drop the merger channel's
@@ -490,16 +496,22 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
     }
 
     /// Peak completion-log buffering in this engine's writer (0 when
-    /// logging is off) — the sharded driver folds these into the merged
+    /// logging is off) — the run tail sums these into the
     /// [`crate::complog::CompletionLogSummary`].
     pub(crate) fn completion_peak(&self) -> usize {
         self.complog.as_ref().map_or(0, |w| w.peak_buffered())
     }
 
+    /// The terminal completion-log sink this engine's writer feeds — `Some`
+    /// only unsharded with logging on; sharded, the merger owns the sink.
+    pub(crate) fn take_log_sink(&mut self) -> Option<CompletionSink> {
+        self.complog.as_mut().and_then(CompletionWriter::take_sink)
+    }
+
     /// Schedule the initial idle timers and any scheduled crashes.
-    fn prime(&mut self) {
+    fn prime(&mut self) -> Result<(), SimError> {
         for disk in 0..self.actors.len() {
-            self.arm_timer(disk, 0, 0.0);
+            self.arm_timer(disk, 0, 0.0)?;
         }
         if let Some(f) = &self.fault {
             for (t, disk) in f.crashes_until(self.horizon) {
@@ -507,24 +519,26 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
             }
         }
         self.peak_events = self.peak_events.max(self.events.len());
+        Ok(())
     }
 
     /// Consult the policy for `disk` settling at ladder `level` at time
     /// `t` and arm its next descent deadline, unless the policy holds at
     /// this level or the deadline would fall beyond the trace horizon.
-    fn arm_timer(&mut self, disk: usize, level: u8, t: f64) {
+    fn arm_timer(&mut self, disk: usize, level: u8, t: f64) -> Result<(), SimError> {
         let decision = self.policy.settled(disk, level, t);
         let deepest = self.actors[disk].deepest_level();
         let timer = &mut self.timers[disk];
         let Some(DescentStep { rest_s, to_level }) = decision else {
             timer.deadline = None;
-            return;
+            return Ok(());
         };
-        assert!(
-            rest_s.is_finite() && rest_s >= 0.0,
-            "policy {} returned bad descent delay {rest_s}",
-            self.policy.name()
-        );
+        if !(rest_s.is_finite() && rest_s >= 0.0) {
+            return Err(SimError::BadPolicyDelay {
+                policy: self.policy.name(),
+                delay: rest_s,
+            });
+        }
         // Clamp ladder-oblivious targets (DescentStep::DEEPEST) to the
         // drive's ladder; a step that no longer goes anywhere after
         // clamping — the policy answered at the deepest level — means
@@ -532,12 +546,12 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
         let to_level = to_level.min(deepest);
         if to_level <= level {
             timer.deadline = None;
-            return;
+            return Ok(());
         }
         let fire = t + rest_s;
         if fire > self.horizon {
             timer.deadline = None;
-            return;
+            return Ok(());
         }
         timer.deadline = Some(Deadline {
             fire,
@@ -546,6 +560,7 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
             to_level,
         });
         self.ensure_timer_event(disk, fire);
+        Ok(())
     }
 
     /// Guarantee a `SpinDownTimer` heap entry popping no later than `fire`
@@ -791,7 +806,7 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
                     // Settled at the descent's target: ask the policy for
                     // the next step (multi-state policies may rest here
                     // and descend further later).
-                    self.arm_timer(disk, level, t);
+                    self.arm_timer(disk, level, t)?;
                 }
                 Ok(())
             }
@@ -833,12 +848,8 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
     }
 
     /// Record one served request's response on `disk` at `t` — a disk
-    /// completion or a cache hit: the live global collector (exact mode),
-    /// the disk's collector and its window.
+    /// completion or a cache hit: the disk's collector and its window.
     fn record_response(&mut self, t: f64, disk: usize, response: f64) {
-        if self.record_global {
-            self.responses.record(response);
-        }
         self.per_disk_responses[disk].record(response);
         self.actors[disk].window_completion(t, response);
     }
@@ -900,10 +911,10 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
         if !self.actors[disk].queue_is_empty() {
             return self.kick(t, disk);
         }
-        if let Some(level) = self.actors[disk].phase().settled_level() {
-            self.arm_timer(disk, level, t);
+        match self.actors[disk].phase().settled_level() {
+            Some(level) => self.arm_timer(disk, level, t),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// A retry backoff expires: due transient retries re-enter the queue
@@ -925,119 +936,51 @@ impl<'a, S: TraceSource> Simulator<'a, S> {
         self.kick(t, disk)
     }
 
-    /// Integrate energy to `t_end` and assemble the report. In histogram
-    /// mode the global response collector is derived here, starting empty
-    /// and merging the per-disk collectors (cache hits included) in
-    /// ascending disk order, so the global statistics are a pure function
-    /// of the per-disk trajectories, identical however the fleet was
-    /// sharded.
-    pub(crate) fn finish_at(mut self, t_end: f64) -> Result<SimReport, SimError> {
-        if !self.record_global {
-            for per_disk in &self.per_disk_responses {
-                self.responses.merge(per_disk);
-            }
-        }
-        let availability = self.fault.take().map(|f| {
+    /// Integrate energy to `t_end` and hand back this engine's results,
+    /// per-disk vectors in local actor order, for the report assembly.
+    pub(crate) fn finish_at(mut self, t_end: f64) -> Result<EngineParts, SimError> {
+        let faults = self.fault.take().map(|f| {
             let queued: u64 = self.actors.iter().map(|a| a.queue_len() as u64).sum();
-            f.into_stats(t_end, queued, self.cfg.metrics)
+            f.into_stats(t_end, queued)
         });
-        let mut fleet = spindown_disk::energy::EnergyBreakdown::default();
-        let mut per_disk = Vec::with_capacity(self.actors.len());
-        let mut per_disk_served = Vec::with_capacity(self.actors.len());
-        let mut per_disk_windows = self
-            .cfg
-            .windows
-            .map(|_| Vec::with_capacity(self.actors.len()));
-        let mut spin_downs = 0;
-        let mut spin_ups = 0;
         let disks = self.actors.len();
+        let mut energy = Vec::with_capacity(disks);
+        let mut served = Vec::with_capacity(disks);
+        let mut windows = self.cfg.windows.map(|_| Vec::with_capacity(disks));
+        let (mut spin_downs, mut spin_ups) = (0, 0);
         for mut actor in self.actors {
             spin_downs += actor.spin_downs();
             spin_ups += actor.spin_ups();
-            per_disk_served.push(actor.served());
-            if let Some(v) = per_disk_windows.as_mut() {
+            served.push(actor.served());
+            if let Some(v) = windows.as_mut() {
                 v.push(
                     actor
                         .take_windows(t_end)
                         .expect("windows enabled on every actor"),
                 );
             }
-            let b = actor.finish(t_end)?;
-            fleet.merge(&b);
-            per_disk.push(b);
+            energy.push(actor.finish(t_end)?);
         }
-        // The windowed series is a pure derivation over the per-disk
-        // collectors in ascending disk order — local order here equals
-        // global order unsharded; the sharded merge re-derives from the
-        // reassembled global order with the same function.
-        let windows = per_disk_windows.map(|pd| {
-            let width = self.cfg.windows.expect("collected only when configured");
-            crate::windows::WindowedReport::derive(width, pd, availability.is_some())
-        });
-        let (cache, cache_tiers, per_disk_cache_tiers) = match self.cache {
-            CacheFront::None => (None, None, None),
-            CacheFront::Global(h) => (Some(h.aggregate_stats()), Some(h.tier_stats()), None),
-            CacheFront::PerDisk(slices) => {
-                // Keep the per-disk tier rows (local actor order here —
-                // the sharded merge reassembles ascending global-disk
-                // order) and fold the aggregates over the slices in
-                // ascending order: the same deterministic fold
-                // discipline as energy, matching the sharded merge's
-                // absorption bit for bit.
-                let depth = self
-                    .cfg
-                    .cache_hierarchy
-                    .as_ref()
-                    .map_or(0, |h| h.tiers.len());
-                let rows: Vec<Vec<crate::cache::CacheStats>> =
-                    slices.iter().map(|s| s.tier_stats()).collect();
-                let mut agg = crate::cache::CacheStats::default();
-                let mut tiers = vec![crate::cache::CacheStats::default(); depth];
-                for slice in &slices {
-                    agg.absorb(&slice.aggregate_stats());
-                    for (t, s) in tiers.iter_mut().zip(slice.tier_stats()) {
-                        t.absorb(&s);
-                    }
-                }
-                (Some(agg), Some(tiers), Some(rows))
-            }
+        let (cache_tiers, cache_rows) = match self.cache {
+            CacheFront::None => (None, None),
+            CacheFront::Global(h) => (Some(h.tier_stats()), None),
+            CacheFront::PerDisk(slices) => (
+                None,
+                Some(slices.iter().map(CacheHierarchy::tier_stats).collect()),
+            ),
         };
-        let (completions, completion_log) = match self.complog.as_mut() {
-            None => (None, None),
-            Some(w) => {
-                let peak = w.peak_buffered();
-                match w.take_sink() {
-                    // Unsharded (or S=1): this engine owns the terminal
-                    // sink; fold it into the report here.
-                    Some(sink) => {
-                        let (completions, summary) = sink.finish(peak)?;
-                        (completions, Some(summary))
-                    }
-                    // Sharded: the merger thread owns the sink and the
-                    // report merge attaches the merged log fields.
-                    None => (None, None),
-                }
-            }
-        };
-        Ok(SimReport {
-            sim_time_s: t_end,
-            energy: fleet,
-            per_disk_energy: per_disk,
-            responses: self.responses,
-            per_disk_responses: self.per_disk_responses,
-            completions,
-            completion_log,
+        Ok(EngineParts {
+            energy,
+            responses: self.per_disk_responses,
+            served,
+            windows,
+            cache_rows,
+            cache_tiers,
+            faults,
             spin_downs,
             spin_ups,
-            cache,
-            cache_tiers,
-            per_disk_cache_tiers,
-            disks,
-            per_disk_served,
-            per_shard_event_peaks: vec![self.peak_events],
+            peak_events: self.peak_events,
             peak_disk_queue: self.peak_disk_queue,
-            availability,
-            windows,
         })
     }
 }
@@ -1794,6 +1737,42 @@ mod tests {
         let mut cfg = SimConfig::paper_default();
         cfg.faults = spindown_workload::FaultPlan::parse("crash@t=5:d3").unwrap();
         assert!(run_fleet(&cat, &tr, &assignment(&[0, 1, 2, 3]), &cfg, 4).is_ok());
+    }
+
+    /// Holds every disk at the start, then answers each later settle with
+    /// a fixed (bad) delay — so the error surfaces from inside the event
+    /// loop, on a shard thread when sharded.
+    struct BadDelay(f64);
+
+    impl PowerPolicy for BadDelay {
+        fn name(&self) -> String {
+            "bad_delay".into()
+        }
+        fn settled(&mut self, _disk: usize, _level: u8, t: f64) -> Option<DescentStep> {
+            (t > 0.0).then(|| DescentStep::to_deepest(self.0))
+        }
+    }
+
+    #[test]
+    fn a_bad_policy_delay_is_an_error_at_any_shard_count() {
+        let (cat, tr) = (catalog(2, 10 * MB), trace(&[(1.0, 0), (2.0, 1)], 100.0));
+        for delay in [f64::NAN, -1.0, f64::INFINITY] {
+            for shards in [1usize, 2] {
+                let cfg = SimConfig::paper_default().with_shards(shards);
+                let source = InMemorySource::new(&tr);
+                let err =
+                    Simulator::run_with_policy(&cat, source, &assignment(&[0, 1]), &cfg, 2, |_| {
+                        Box::new(BadDelay(delay))
+                    })
+                    .unwrap_err();
+                assert!(
+                    matches!(&err, SimError::BadPolicyDelay { policy, delay: d }
+                        if policy == "bad_delay" && d.to_bits() == delay.to_bits()),
+                    "delay {delay} S={shards}: {err}"
+                );
+                assert!(err.to_string().contains("bad_delay"), "{err}");
+            }
+        }
     }
 }
 

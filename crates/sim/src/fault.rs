@@ -118,8 +118,8 @@ struct DiskFaults {
     /// the time the backoff expires. Each keeps its *original* arrival
     /// stamp: response time spans every retry.
     pending_retries: Vec<(f64, QueueEntry)>,
-    /// Degraded-mode responses, merged in global disk order at finish so
-    /// the statistic is shard-stable.
+    /// Degraded-mode responses, merged in global disk order by the report
+    /// assembly so the statistic is shard-stable.
     degraded: ResponseStats,
 }
 
@@ -374,16 +374,18 @@ impl FaultRuntime {
             .map(|&(factor, _, _)| factor)
     }
 
-    /// Assemble the availability block at `t_end`. `queued` requests still
+    /// Close the availability block at `t_end`. `queued` requests still
     /// sit in disk queues (a crashed-and-never-repaired disk keeps its
-    /// backlog) and count as in flight, as do pending retries. The caller
-    /// merges shard blocks, then recomputes availability fleet-wide.
-    pub fn into_stats(self, t_end: f64, queued: u64, mode: MetricsMode) -> AvailabilityStats {
-        let mut stats = AvailabilityStats {
-            degraded: ResponseStats::with_mode(mode),
-            ..self.stats
-        };
-        for d in &self.disks {
+    /// backlog) and count as in flight, as do pending retries. Returns the
+    /// counters and per-disk downtimes (local disk order, availability
+    /// computed over these disks, `degraded` left empty) plus each local
+    /// disk's degraded-response collector, which the report assembly folds
+    /// in ascending global disk order.
+    pub fn into_stats(self, t_end: f64, queued: u64) -> (AvailabilityStats, Vec<ResponseStats>) {
+        let mut stats = self.stats;
+        let fleet = self.disks.len();
+        let mut degraded = Vec::with_capacity(fleet);
+        for d in self.disks {
             let open = if d.down {
                 (t_end - d.down_since).max(0.0)
             } else {
@@ -391,15 +393,15 @@ impl FaultRuntime {
             };
             stats.per_disk_downtime_s.push(d.downtime + open);
             stats.in_flight += d.pending_retries.len() as u64;
-            stats.degraded.merge(&d.degraded);
+            degraded.push(d.degraded);
         }
         stats.in_flight += queued;
-        stats.recompute_availability(self.disks.len(), t_end);
+        stats.recompute_availability(fleet, t_end);
         debug_assert!(
             stats.conservation_holds(),
             "fault conservation violated: {stats:?}"
         );
-        stats
+        (stats, degraded)
     }
 }
 
@@ -479,7 +481,7 @@ mod tests {
         queue.push(9, 1, 400.0, 0);
         let entry = queue.pop(400.0).expect("pushed").entry;
         rt.disks[1].pending_retries.push((500.0, entry));
-        let stats = rt.into_stats(400.0, 1, MetricsMode::Exact);
+        let (stats, _) = rt.into_stats(400.0, 1);
         assert_eq!(stats.per_disk_downtime_s, vec![300.0, 50.0]);
         assert_eq!(stats.in_flight, 2, "one queued + one pending retry");
         assert!(stats.conservation_holds());

@@ -249,24 +249,9 @@ impl CacheHierarchy {
         self.tiers.iter().map(|t| t.policy.stats()).collect()
     }
 
-    /// The hierarchy as one cache: hits sum over tiers, misses are the
-    /// deepest tier's (a request misses the hierarchy only by missing
-    /// every tier), byte and oversize counters sum. With these rules
-    /// `hits + misses` still equals the number of requests probed, because
-    /// each deeper tier only sees the previous tier's misses.
+    /// The hierarchy as one cache ([`CacheStats::of_tiers`]).
     pub fn aggregate_stats(&self) -> CacheStats {
-        let mut agg = CacheStats::default();
-        for (i, t) in self.tiers.iter().enumerate() {
-            let s = t.policy.stats();
-            agg.hits += s.hits;
-            agg.resident_bytes += s.resident_bytes;
-            agg.evicted_bytes += s.evicted_bytes;
-            agg.oversize_rejections += s.oversize_rejections;
-            if i + 1 == self.tiers.len() {
-                agg.misses = s.misses;
-            }
-        }
-        agg
+        CacheStats::of_tiers(&self.tier_stats())
     }
 
     /// Number of tiers.

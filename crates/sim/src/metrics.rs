@@ -270,8 +270,14 @@ impl PartialEq for StreamingHistogram {
 /// Collects response times and summarises them, in either metrics mode.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 enum Agg {
-    /// Every sample, with a cached-sort flag for quantiles.
-    Exact { samples: Vec<f64>, sorted: bool },
+    /// Every sample, with a cached-sort flag for quantiles and the running
+    /// sum in record (then merge) order — kept apart from the samples
+    /// because a quantile sorts them in place.
+    Exact {
+        samples: Vec<f64>,
+        sorted: bool,
+        sum: f64,
+    },
     /// Streaming log-bucketed histogram.
     Hist(StreamingHistogram),
 }
@@ -301,6 +307,7 @@ impl ResponseStats {
             agg: Agg::Exact {
                 samples: Vec::new(),
                 sorted: false,
+                sum: 0.0,
             },
         }
     }
@@ -348,9 +355,14 @@ impl ResponseStats {
             "bad sample {seconds}"
         );
         match &mut self.agg {
-            Agg::Exact { samples, sorted } => {
+            Agg::Exact {
+                samples,
+                sorted,
+                sum,
+            } => {
                 samples.push(seconds);
                 *sorted = false;
+                *sum += seconds;
             }
             Agg::Hist(h) => h.record(seconds),
         }
@@ -369,14 +381,17 @@ impl ResponseStats {
         self.len() == 0
     }
 
-    /// Arithmetic mean — exact in both modes (0 when empty).
+    /// Arithmetic mean — exact in both modes (0 when empty). Both modes
+    /// keep a running sum that [`Self::merge`] adds, so the mean does not
+    /// depend on whether a quantile was read first, and merging the same
+    /// collectors in the same order gives the same bits in either mode.
     pub fn mean(&self) -> f64 {
         match &self.agg {
-            Agg::Exact { samples, .. } => {
+            Agg::Exact { samples, sum, .. } => {
                 if samples.is_empty() {
                     0.0
                 } else {
-                    samples.iter().sum::<f64>() / samples.len() as f64
+                    sum / samples.len() as f64
                 }
             }
             Agg::Hist(h) => h.mean(),
@@ -401,7 +416,9 @@ impl ResponseStats {
     pub fn quantile(&mut self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile out of range");
         match &mut self.agg {
-            Agg::Exact { samples, sorted } => {
+            Agg::Exact {
+                samples, sorted, ..
+            } => {
                 if samples.is_empty() {
                     return 0.0;
                 }
@@ -448,14 +465,27 @@ impl ResponseStats {
     }
 
     /// Merge another collector into this one. Histogram⇐histogram merges
-    /// bucket-wise; exact⇐exact concatenates; histogram⇐exact re-records
-    /// the samples (lossy, by design). Merging a histogram *into* an exact
-    /// collector is impossible (samples are gone) and panics.
+    /// bucket-wise; exact⇐exact concatenates; both add the running sums.
+    /// Histogram⇐exact re-records the samples (lossy, by design). Merging
+    /// a histogram *into* an exact collector is impossible (samples are
+    /// gone) and panics.
     pub fn merge(&mut self, other: &ResponseStats) {
         match (&mut self.agg, &other.agg) {
-            (Agg::Exact { samples, sorted }, Agg::Exact { samples: o, .. }) => {
+            (
+                Agg::Exact {
+                    samples,
+                    sorted,
+                    sum,
+                },
+                Agg::Exact {
+                    samples: o,
+                    sum: o_sum,
+                    ..
+                },
+            ) => {
                 samples.extend_from_slice(o);
                 *sorted = false;
+                *sum += o_sum;
             }
             (Agg::Hist(h), Agg::Hist(o)) => h.merge(o),
             (Agg::Hist(h), Agg::Exact { samples, .. }) => {
@@ -530,7 +560,7 @@ impl AvailabilityStats {
     }
 
     /// Recompute the availability fraction from the per-disk downtimes
-    /// and the run's dimensions (used after a shard merge).
+    /// and the run's dimensions (used by the report assembly).
     pub fn recompute_availability(&mut self, disks: usize, sim_time_s: f64) {
         let span = disks as f64 * sim_time_s;
         self.availability = if span > 0.0 {
@@ -555,24 +585,23 @@ pub struct Completion {
 
 /// Everything a simulation run produces.
 ///
-/// ## Sharded merges: exact fields vs bounds
+/// ## Shard counts: exact fields vs bounds
 ///
-/// This is the one place that catalogues how each field behaves when a
-/// `--shards N` run merges per-shard reports (the per-field docs repeat
-/// the detail):
+/// Every run, sharded or not, builds its report in one assembly: the
+/// per-disk results are put in ascending global disk order and every fleet
+/// field is a fold over them in that order, in both metrics modes. This is
+/// the one place that catalogues how each field behaves across `--shards
+/// N` (the per-field docs repeat the detail):
 ///
 /// - **Exact (bit-identical at every shard count):** `sim_time_s`,
-///   `energy` and `per_disk_energy` (summed in ascending global-disk
-///   order), `responses` in histogram mode (canonical per-disk merge) and
-///   exact mode (canonical concatenation), `per_disk_responses`,
+///   `energy` and `per_disk_energy`, `responses` (the per-disk collectors
+///   merged in order, in either mode), `per_disk_responses`,
 ///   `completions` / `completion_log` (canonical `(time, req)` order),
 ///   `spin_downs`/`spin_ups`, `cache`/`cache_tiers`/`per_disk_cache_tiers`
-///   (counters summed in tier-then-ascending-disk order),
-///   `per_disk_served`, `peak_disk_queue` (per-disk trajectories are
-///   shard-invariant, so the cross-shard max is the unsharded value),
-///   `availability`, `windows` (per-disk collectors reassembled in
-///   ascending global-disk order, then re-derived window by window with
-///   the same fold the unsharded finish uses).
+///   (integer counters summed tier by tier), `per_disk_served`,
+///   `peak_disk_queue` (per-disk trajectories are shard-invariant, so the
+///   cross-shard max is the unsharded value), `availability`, `windows`
+///   (derived once, window by window, from the per-disk collectors).
 /// - **Per-shard observations (no single-run equivalent):**
 ///   `per_shard_event_peaks` — each shard's own heap peak. The sum is a
 ///   deterministic upper bound on the unsharded peak; the max is the
@@ -590,13 +619,10 @@ pub struct SimReport {
     /// Per-disk energy, in disk order.
     pub per_disk_energy: Vec<EnergyBreakdown>,
     /// Response-time samples for requests served by disks *and* the cache,
-    /// aggregated per `SimConfig::metrics`. In histogram mode this is
-    /// derived at finish by merging the cache-hit collector and then the
-    /// per-disk collectors in ascending disk order — a canonical order
-    /// that makes the global statistics bit-identical at every shard
-    /// count. In exact mode the samples are recorded live in completion
-    /// order (sharded exact runs concatenate per-disk samples in disk
-    /// order instead: same multiset, bit-identical quantiles).
+    /// aggregated per `SimConfig::metrics`: the per-disk collectors merged
+    /// in ascending disk order, so the global statistics — the mean
+    /// included — are bit-identical at every shard count and equal in both
+    /// modes.
     pub responses: ResponseStats,
     /// Response-time samples per disk, in disk order. Cache hits are
     /// recorded against the disk holding the file — for per-disk scope
@@ -879,6 +905,21 @@ mod tests {
         assert_eq!(r.median(), 1.0);
         r.record(0.5);
         assert_eq!(r.quantile(0.0), 0.5, "sort flag must reset on record");
+    }
+
+    /// Reading a quantile sorts the exact samples in place; the mean is a
+    /// running sum and must keep its bits across that sort.
+    #[test]
+    fn exact_mean_is_unchanged_by_a_quantile_read() {
+        let mut r = ResponseStats::exact();
+        let mut x = 0.123_456_789_f64;
+        for _ in 0..10_000 {
+            x = (x * 7.389_056_1).fract();
+            r.record(x * 1_000.0);
+        }
+        let before = r.mean();
+        let _ = r.p95();
+        assert_eq!(r.mean().to_bits(), before.to_bits());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Sharded parallel replay: partition the fleet, run one event loop per
-//! shard, merge the reports.
+//! Sharded parallel replay and the one report assembly every run ends
+//! in.
 //!
 //! ## Shard assignment
 //!
@@ -9,9 +9,21 @@
 //! arrival stream splits the same way: the calling thread drains the
 //! source once through [`demux`] into bounded per-shard channels. Each shard's
 //! policy instance sees global ids through [`GlobalIds`], and the shard
-//! count is clamped to the fleet so no shard is ever empty.
+//! count is clamped to the fleet so no shard is ever empty. An unsharded
+//! run is the `S = 1` case of the same layout: one engine on the calling
+//! thread, no demux, channel, merger or id translation.
 //!
-//! ## Why the merged report is bit-identical
+//! ## One report assembly
+//!
+//! Every run, at any shard count, ends in [`finish_run`]: each drained
+//! engine finishes at the common end time `horizon.max(max over engines
+//! of last event time)` and hands back its [`EngineParts`], the completion
+//! log closes, and [`assemble`] — the only code that builds a
+//! [`SimReport`] — reassembles every per-disk vector in ascending global
+//! disk order and folds each fleet field over it in that order. That one
+//! rule holds for both metrics modes and every shard count.
+//!
+//! ## Why the report is bit-identical at every shard count
 //!
 //! Disks interact through *nothing*: each disk's service, queueing,
 //! power-transition, energy — and, under any cache scope, cache-slice —
@@ -20,31 +32,19 @@
 //! hierarchy partitions its budget by file residency, so a file's cache
 //! trajectory lives entirely on the shard hosting its disk; the
 //! completion log streams through per-shard writers and a k-way merger —
-//! see [`crate::complog`].) The merge then reproduces the unsharded
-//! report's exact float operations:
+//! see `complog`.) So every per-disk result is shard-invariant, and the
+//! assembly's fixed fold order makes every fleet field shard-invariant:
 //!
-//! - every shard drains, then all shards finish at the common end time
-//!   `horizon.max(max over shards of last event time)` — exactly the
-//!   unsharded `t_end`, since the shards' events partition the unsharded
-//!   event set;
-//! - fleet energy is re-folded from the per-disk breakdowns in ascending
-//!   global disk order — the identical merge sequence the unsharded
-//!   `finish` performs over its actors;
-//! - histogram-mode global response statistics are *derived* (in every
-//!   run, sharded or not) by merging the per-disk collectors in ascending
-//!   disk order, so the global histogram is a pure function of per-disk
-//!   trajectories. Exact-mode keeps the legacy live recording at one
-//!   shard; sharded exact-mode concatenates per-disk samples in disk
-//!   order — same multiset, bit-identical quantiles (nearest-rank over
-//!   the sorted samples), but the mean may differ in the last ulp from an
-//!   unsharded run because float summation order changes;
-//! - cache counters follow the energy discipline: per-disk-scope rows are
-//!   reassembled in ascending global-disk order and summed from there;
-//!   global-scope tier counters sum tier-then-shard. All counters are
-//!   integers, so both folds equal the unsharded counters exactly;
+//! - the end time is the unsharded one, since the engines' events
+//!   partition the run's events;
+//! - fleet energy, the global response collector, the degraded-response
+//!   collector and the windowed series fold the per-disk results in
+//!   ascending global disk order (response collectors add running sums,
+//!   so the global mean is one sum of per-disk sums in either mode);
+//! - cache counters are integers summed tier by tier, and the aggregate
+//!   follows [`CacheStats::of_tiers`];
 //! - the completion log is emitted in canonical `(time, req)` order by
-//!   both the unsharded writer and the sharded merger — byte-identical
-//!   at every shard count.
+//!   both the unsharded writer and the sharded merger.
 //!
 //! Merged counters: spin-downs/ups and served counts are exact sums;
 //! `peak_disk_queue` is the cross-shard **max** (each disk's queue
@@ -54,10 +54,10 @@
 //! docs — and the `SimReport` doc section cataloguing exact-vs-bound
 //! merged fields — for the max/sum aggregation trade-off).
 
-use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::mpsc::sync_channel;
 
 use spindown_disk::energy::EnergyBreakdown;
-use spindown_workload::shard::{demux, ShardReceiver};
+use spindown_workload::shard::demux;
 use spindown_workload::{FileCatalog, TraceSource};
 
 use crate::cache::CacheStats;
@@ -143,10 +143,10 @@ impl PowerPolicy for GlobalIds {
 
 /// Sharded replay: the calling thread demultiplexes the source into
 /// bounded per-shard channels (the source is read once) while every shard
-/// drains on its own scoped thread, then all shards finish at the common
-/// end time and merge. Policies are built by `factory` in shard order on
-/// the calling thread, so factory side effects (seed derivation, logging)
-/// are deterministic.
+/// drains on its own scoped thread, then the shared run tail finishes
+/// them. Policies are built by `factory` in shard order on the calling
+/// thread, so factory side effects (seed derivation, logging) are
+/// deterministic.
 pub(crate) fn replay<'a, S: TraceSource + Send>(
     catalog: &'a FileCatalog,
     source: S,
@@ -156,70 +156,42 @@ pub(crate) fn replay<'a, S: TraceSource + Send>(
     shards: usize,
     factory: &mut dyn FnMut(usize) -> Box<dyn PowerPolicy>,
 ) -> Result<SimReport, SimError> {
-    /// One shard's inputs: (shard index, source, wrapped policy, local
-    /// file map, local fleet size, completion-log channel).
-    type ShardJob = (
-        usize,
-        ShardReceiver,
-        Box<dyn PowerPolicy>,
-        Vec<usize>,
-        usize,
-        Option<SyncSender<Vec<Completion>>>,
-    );
-    /// What the merger thread hands back: the terminal sink plus the
-    /// merge heads' peak buffered count (absent when logging is off).
-    type MergedLog = Option<std::io::Result<(CompletionSink, usize)>>;
     let plan = ShardPlan { shards, fleet };
     // Completion log: the merger thread owns the terminal sink (so e.g.
     // the CSV file is created once, here, not per shard); each shard
     // streams its canonical batches over a bounded channel.
-    let mut merger_sink = CompletionSink::from_mode(&cfg.completion_log)?;
-    let mut log_txs: Vec<Option<SyncSender<Vec<Completion>>>> = Vec::with_capacity(shards);
-    let mut log_rxs = Vec::new();
-    if merger_sink.is_some() {
-        for _ in 0..shards {
-            let (tx, rx) = sync_channel::<Vec<Completion>>(LOG_DEPTH);
-            log_txs.push(Some(tx));
-            log_rxs.push(rx);
-        }
-    } else {
-        log_txs.resize_with(shards, || None);
-    }
-    let (pump, receivers) = demux(source, shards);
-    let jobs: Vec<ShardJob> = receivers
-        .into_iter()
-        .zip(log_txs)
-        .enumerate()
-        .map(|(s, (source, log_tx))| {
-            let policy = Box::new(GlobalIds {
-                inner: factory(s),
-                shard: s,
-                stride: shards,
-            }) as Box<dyn PowerPolicy>;
-            (
-                s,
-                source,
-                policy,
-                plan.local_map(file_to_disk, s),
-                plan.shard_fleet(s),
-                log_tx,
-            )
+    let merger_sink = CompletionSink::from_mode(&cfg.completion_log)?;
+    let (log_txs, log_rxs): (Vec<_>, Vec<_>) = (0..shards)
+        .map(|_| match merger_sink {
+            Some(_) => {
+                let (tx, rx) = sync_channel::<Vec<Completion>>(LOG_DEPTH);
+                (Some(tx), Some(rx))
+            }
+            None => (None, None),
         })
-        .collect();
-    let (results, merged_log): (
-        Vec<Result<Simulator<'a, ShardReceiver>, SimError>>,
-        MergedLog,
-    ) = std::thread::scope(|scope| {
+        .unzip();
+    let (pump, receivers) = demux(source, shards);
+    let (results, merged_log) = std::thread::scope(|scope| {
         // The merger terminates once every shard's sender is dropped —
         // `run_drained` drops it on success (writer flush) and on error
         // (the writer is dropped with the engine), so joining it inside
         // the scope cannot deadlock.
-        let merger = merger_sink
-            .take()
-            .map(|sink| scope.spawn(move || merge_streams(log_rxs, sink)));
-        let handles: Vec<_> = jobs
+        let merger = merger_sink.map(|sink| {
+            let rxs = log_rxs.into_iter().flatten().collect();
+            scope.spawn(move || merge_streams(rxs, sink))
+        });
+        let handles: Vec<_> = receivers
             .into_iter()
-            .map(|(s, source, policy, local_map, shard_fleet, log_tx)| {
+            .zip(log_txs)
+            .enumerate()
+            .map(|(s, (source, log_tx))| {
+                let policy = Box::new(GlobalIds {
+                    inner: factory(s),
+                    shard: s,
+                    stride: shards,
+                });
+                let (local_map, shard_fleet) =
+                    (plan.local_map(file_to_disk, s), plan.shard_fleet(s));
                 scope.spawn(move || {
                     Simulator::run_drained(
                         catalog,
@@ -239,214 +211,195 @@ pub(crate) fn replay<'a, S: TraceSource + Send>(
         // The calling thread reads the source while the shards replay it
         // (it would otherwise sit idle in the joins below).
         pump.run(file_to_disk);
-        let results = handles
+        let results: Vec<_> = handles
             .into_iter()
             .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
             .collect();
         let merged_log = merger.map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
         (results, merged_log)
     });
-    let mut sims = Vec::with_capacity(shards);
-    for r in results {
-        sims.push(r?);
-    }
-    // The shards' event sets partition the unsharded run's events, so the
-    // common end time is exactly the unsharded `horizon.max(last event)`.
+    let sims = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+    finish_run(cfg, sims, merged_log.transpose()?)
+}
+
+/// One engine's results at the run's end time, every per-disk vector in
+/// local actor order — what [`assemble`] folds into the report.
+pub(crate) struct EngineParts {
+    pub(crate) energy: Vec<EnergyBreakdown>,
+    pub(crate) responses: Vec<ResponseStats>,
+    pub(crate) served: Vec<u64>,
+    /// Window collectors, when `SimConfig::windows` is set.
+    pub(crate) windows: Option<Vec<DiskWindows>>,
+    /// Per-disk-scope cache: each local disk's tier rows.
+    pub(crate) cache_rows: Option<Vec<Vec<CacheStats>>>,
+    /// Global-scope cache: the tier rows of this engine's budget slice.
+    pub(crate) cache_tiers: Option<Vec<CacheStats>>,
+    /// Fault counters and local downtimes, plus each local disk's
+    /// degraded-response collector.
+    pub(crate) faults: Option<(AvailabilityStats, Vec<ResponseStats>)>,
+    pub(crate) spin_downs: u64,
+    pub(crate) spin_ups: u64,
+    pub(crate) peak_events: usize,
+    pub(crate) peak_disk_queue: usize,
+}
+
+/// The run tail every run shares, at any shard count: finish each drained
+/// engine at the common end time, close the completion log, assemble the
+/// report. `merged_log` is the merger thread's sink and peak buffering
+/// (sharded); unsharded, the one engine's writer still holds the sink.
+pub(crate) fn finish_run<S: TraceSource>(
+    cfg: &SimConfig,
+    sims: Vec<Simulator<'_, S>>,
+    merged_log: Option<(CompletionSink, usize)>,
+) -> Result<SimReport, SimError> {
+    // The engines' event sets partition the run's events, so this is the
+    // unsharded `horizon.max(last event)` at any shard count.
     let t_end = sims.iter().fold(sims[0].source_horizon(), |acc, s| {
         acc.max(s.last_event_time())
     });
-    let shard_log_peak: usize = sims.iter().map(|s| s.completion_peak()).sum();
-    let mut reports = Vec::with_capacity(shards);
-    for sim in sims {
-        reports.push(sim.finish_at(t_end)?);
+    let (mut sink, mut log_peak) = merged_log.map_or((None, 0), |(sink, peak)| (Some(sink), peak));
+    let mut parts = Vec::with_capacity(sims.len());
+    for mut sim in sims {
+        log_peak += sim.completion_peak();
+        sink = sink.or_else(|| sim.take_log_sink());
+        parts.push(sim.finish_at(t_end)?);
     }
-    let log = match merged_log {
-        None => None,
-        Some(Ok((sink, merger_peak))) => {
-            let (completions, summary) = sink.finish(shard_log_peak + merger_peak)?;
-            Some((completions, summary))
-        }
-        Some(Err(e)) => return Err(e.into()),
-    };
-    Ok(merge_reports(cfg, fleet, shards, reports, log))
+    let log = sink.map(|sink| sink.finish(log_peak)).transpose()?;
+    Ok(assemble(cfg, t_end, parts, log))
 }
 
-/// Reassemble per-shard reports into the fleet report, in ascending global
-/// disk order (see the module docs for why this reproduces the unsharded
-/// float operations exactly).
-fn merge_reports(
+/// Reassemble per-engine vectors (local actor order) into global disk
+/// order: engine `s` of `S` holds global disks `s, s + S, …` ascending,
+/// so popping the engines' vectors front to front in global order lands
+/// every entry at its global index.
+fn interleave<T>(per_engine: Vec<Vec<T>>) -> Vec<T> {
+    let shards = per_engine.len();
+    let fleet = per_engine.iter().map(Vec::len).sum();
+    let mut engines: Vec<_> = per_engine.into_iter().map(Vec::into_iter).collect();
+    (0..fleet)
+        .map(|d| {
+            engines[d % shards]
+                .next()
+                .expect("engine simulated its disk")
+        })
+        .collect()
+}
+
+/// Build the report from every engine's parts, in shard order — the only
+/// place a [`SimReport`] is built. Each per-disk vector is reassembled in
+/// ascending global disk order and every fleet field folds over it in
+/// that order (see the module docs).
+fn assemble(
     cfg: &SimConfig,
-    fleet: usize,
-    shards: usize,
-    reports: Vec<SimReport>,
+    t_end: f64,
+    parts: Vec<EngineParts>,
     log: Option<(Option<Vec<Completion>>, CompletionLogSummary)>,
 ) -> SimReport {
-    struct Parts {
-        energy: std::vec::IntoIter<EnergyBreakdown>,
-        responses: std::vec::IntoIter<ResponseStats>,
-        served: std::vec::IntoIter<u64>,
-        cache_rows: Option<std::vec::IntoIter<Vec<CacheStats>>>,
-        windows: Option<std::vec::IntoIter<DiskWindows>>,
-    }
-    let sim_time_s = reports[0].sim_time_s;
-    let mut spin_downs = 0u64;
-    let mut spin_ups = 0u64;
+    let shards = parts.len();
+    let mut energy = Vec::with_capacity(shards);
+    let mut responses = Vec::with_capacity(shards);
+    let mut served = Vec::with_capacity(shards);
+    let mut windows = Vec::with_capacity(shards);
+    let mut cache_rows = Vec::with_capacity(shards);
+    let mut engine_cache_tiers = Vec::with_capacity(shards);
+    let mut faults = Vec::with_capacity(shards);
     let mut per_shard_event_peaks = Vec::with_capacity(shards);
-    let mut peak_disk_queue = 0usize;
-    // Cache counters: a global-scope hierarchy partitions by file across
-    // shards, so its aggregate and per-tier counters sum tier-then-shard
-    // here; per-disk-scope rows are reassembled in ascending global-disk
-    // order below and the aggregates re-derived from them — the energy
-    // fold discipline. Integer counters commute, so both folds equal the
-    // unsharded run's counters exactly.
-    let mut cache: Option<CacheStats> = None;
-    let mut cache_tiers: Option<Vec<CacheStats>> = None;
-    // Availability counters are exact integer sums; per-disk downtimes are
-    // reassembled in global disk order below (like the energy breakdowns);
-    // degraded-response collectors merge in shard order — bucket counts
-    // commute, so histogram-mode quantiles are shard-invariant.
-    let mut availability: Option<AvailabilityStats> = None;
-    let mut downtime_parts: Vec<std::vec::IntoIter<f64>> = Vec::new();
-    let mut parts: Vec<Parts> = Vec::with_capacity(shards);
-    let per_disk_scope = reports.iter().any(|r| r.per_disk_cache_tiers.is_some());
-    for r in reports {
-        debug_assert_eq!(r.sim_time_s, sim_time_s, "shards share one end time");
-        spin_downs += r.spin_downs;
-        spin_ups += r.spin_ups;
-        per_shard_event_peaks.extend(r.per_shard_event_peaks);
-        peak_disk_queue = peak_disk_queue.max(r.peak_disk_queue);
-        if !per_disk_scope {
-            if let Some(shard_cache) = r.cache {
-                cache
-                    .get_or_insert_with(Default::default)
-                    .absorb(&shard_cache);
-            }
-            if let Some(shard_tiers) = r.cache_tiers {
-                let merged =
-                    cache_tiers.get_or_insert_with(|| vec![Default::default(); shard_tiers.len()]);
-                for (t, s) in merged.iter_mut().zip(shard_tiers) {
-                    t.absorb(&s);
-                }
+    let (mut spin_downs, mut spin_ups, mut peak_disk_queue) = (0, 0, 0);
+    for p in parts {
+        energy.push(p.energy);
+        responses.push(p.responses);
+        served.push(p.served);
+        windows.push(p.windows);
+        cache_rows.push(p.cache_rows);
+        engine_cache_tiers.extend(p.cache_tiers);
+        faults.push(p.faults);
+        per_shard_event_peaks.push(p.peak_events);
+        spin_downs += p.spin_downs;
+        spin_ups += p.spin_ups;
+        peak_disk_queue = peak_disk_queue.max(p.peak_disk_queue);
+    }
+    let per_disk_energy = interleave(energy);
+    let disks = per_disk_energy.len();
+    let mut fleet_energy = EnergyBreakdown::default();
+    for e in &per_disk_energy {
+        fleet_energy.merge(e);
+    }
+    let per_disk_responses = interleave(responses);
+    let mut global = ResponseStats::with_mode(cfg.metrics);
+    for r in &per_disk_responses {
+        global.merge(r);
+    }
+    // Every engine runs the same configuration, so each optional part is
+    // present on all of them or on none.
+    let per_disk_cache_tiers = cache_rows
+        .into_iter()
+        .collect::<Option<Vec<_>>>()
+        .map(interleave);
+    let cache_tiers = cfg.cache_hierarchy.as_ref().map(|h| {
+        let mut tiers = vec![CacheStats::default(); h.tiers.len()];
+        for row in per_disk_cache_tiers
+            .iter()
+            .flatten()
+            .chain(&engine_cache_tiers)
+        {
+            for (t, s) in tiers.iter_mut().zip(row) {
+                t.absorb(s);
             }
         }
-        if let Some(a) = r.availability {
-            let merged = availability.get_or_insert_with(|| AvailabilityStats {
+        tiers
+    });
+    let availability = faults
+        .into_iter()
+        .collect::<Option<Vec<_>>>()
+        .map(|engines| {
+            let mut merged = AvailabilityStats {
                 degraded: ResponseStats::with_mode(cfg.metrics),
                 ..Default::default()
-            });
-            merged.arrivals += a.arrivals;
-            merged.completed += a.completed;
-            merged.retried += a.retried;
-            merged.shed += a.shed;
-            merged.failed += a.failed;
-            merged.wake_failures += a.wake_failures;
-            merged.crashes += a.crashes;
-            merged.in_flight += a.in_flight;
-            merged.degraded.merge(&a.degraded);
-            downtime_parts.push(a.per_disk_downtime_s.into_iter());
-        }
-        parts.push(Parts {
-            energy: r.per_disk_energy.into_iter(),
-            responses: r.per_disk_responses.into_iter(),
-            served: r.per_disk_served.into_iter(),
-            cache_rows: r.per_disk_cache_tiers.map(Vec::into_iter),
-            windows: r.windows.map(|w| w.per_disk.into_iter()),
-        });
-    }
-    if let Some(a) = availability.as_mut() {
-        debug_assert_eq!(downtime_parts.len(), shards, "faults run on every shard");
-        a.per_disk_downtime_s = (0..fleet)
-            .map(|d| {
-                downtime_parts[d % shards]
-                    .next()
-                    .expect("shard tracked its disk's downtime")
-            })
-            .collect();
-        a.recompute_availability(fleet, sim_time_s);
-    }
-    let mut fleet_energy = EnergyBreakdown::default();
-    let mut per_disk_energy = Vec::with_capacity(fleet);
-    let mut per_disk_responses = Vec::with_capacity(fleet);
-    let mut per_disk_served = Vec::with_capacity(fleet);
-    let mut per_disk_cache_tiers: Option<Vec<Vec<CacheStats>>> =
-        per_disk_scope.then(|| Vec::with_capacity(fleet));
-    let mut responses = ResponseStats::with_mode(cfg.metrics);
-    let mut per_disk_windows: Option<Vec<DiskWindows>> =
-        cfg.windows.map(|_| Vec::with_capacity(fleet));
-    // Local actor indices ascend with the global disk id within a shard, so
-    // popping each shard's vectors front-to-front in global order lands
-    // every per-disk entry at its global index.
-    for d in 0..fleet {
-        let p = &mut parts[d % shards];
-        let e = p.energy.next().expect("shard simulated its disk");
-        let r = p.responses.next().expect("shard simulated its disk");
-        let s = p.served.next().expect("shard simulated its disk");
-        if let Some(pd) = per_disk_windows.as_mut() {
-            pd.push(
-                p.windows
-                    .as_mut()
-                    .expect("windows collected on every shard")
-                    .next()
-                    .expect("shard collected its disk's windows"),
-            );
-        }
-        fleet_energy.merge(&e);
-        responses.merge(&r);
-        per_disk_energy.push(e);
-        per_disk_responses.push(r);
-        per_disk_served.push(s);
-        if let Some(rows) = per_disk_cache_tiers.as_mut() {
-            let row = p
-                .cache_rows
-                .as_mut()
-                .expect("per-disk scope on every shard")
-                .next()
-                .expect("shard tracked its disk's cache slice");
-            // Re-derive the aggregates in ascending global-disk order —
-            // the same fold the unsharded finish performs over its
-            // slices (per-disk aggregate: hits/bytes/oversize sum over
-            // tiers, misses are the deepest tier's).
-            let agg = cache.get_or_insert_with(Default::default);
-            let tiers = cache_tiers.get_or_insert_with(|| vec![Default::default(); row.len()]);
-            for (i, t) in row.iter().enumerate() {
-                agg.hits += t.hits;
-                agg.resident_bytes += t.resident_bytes;
-                agg.evicted_bytes += t.evicted_bytes;
-                agg.oversize_rejections += t.oversize_rejections;
-                if i + 1 == row.len() {
-                    agg.misses += t.misses;
-                }
-                tiers[i].absorb(t);
+            };
+            let mut downtime = Vec::with_capacity(engines.len());
+            let mut degraded = Vec::with_capacity(engines.len());
+            for (a, d) in engines {
+                merged.arrivals += a.arrivals;
+                merged.completed += a.completed;
+                merged.retried += a.retried;
+                merged.shed += a.shed;
+                merged.failed += a.failed;
+                merged.wake_failures += a.wake_failures;
+                merged.crashes += a.crashes;
+                merged.in_flight += a.in_flight;
+                downtime.push(a.per_disk_downtime_s);
+                degraded.push(d);
             }
-            rows.push(row);
-        }
-    }
-    let (completions, completion_log) = match log {
-        None => (None, None),
-        Some((completions, summary)) => (completions, Some(summary)),
-    };
-    // The windowed series is re-derived from the reassembled per-disk
-    // collectors with the same ascending-disk-order fold the unsharded
-    // finish uses, so the rows are bit-identical at every shard count.
-    let windows = per_disk_windows.map(|pd| {
-        let width = cfg.windows.expect("collected only when configured");
-        WindowedReport::derive(width, pd, availability.is_some())
-    });
+            for d in &interleave(degraded) {
+                merged.degraded.merge(d);
+            }
+            merged.per_disk_downtime_s = interleave(downtime);
+            merged.recompute_availability(disks, t_end);
+            merged
+        });
+    let windows = windows
+        .into_iter()
+        .collect::<Option<Vec<_>>>()
+        .map(|engines| {
+            let width = cfg.windows.expect("collected only when configured");
+            WindowedReport::derive(width, interleave(engines), availability.is_some())
+        });
+    let (completions, completion_log) = log.map_or((None, None), |(c, summary)| (c, Some(summary)));
     SimReport {
-        sim_time_s,
+        sim_time_s: t_end,
         energy: fleet_energy,
         per_disk_energy,
-        responses,
+        responses: global,
         per_disk_responses,
         completions,
         completion_log,
         spin_downs,
         spin_ups,
-        cache,
+        cache: cache_tiers.as_deref().map(CacheStats::of_tiers),
         cache_tiers,
         per_disk_cache_tiers,
-        disks: fleet,
-        per_disk_served,
+        disks,
+        per_disk_served: interleave(served),
         per_shard_event_peaks,
         peak_disk_queue,
         availability,

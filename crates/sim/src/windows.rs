@@ -9,10 +9,9 @@
 //! collector is bit-identical at any shard count; the fleet-level series
 //! is then a pure derivation — [`WindowedReport::derive`] folds the
 //! per-disk collectors in ascending global disk order, window by window —
-//! so the derived rows are bit-identical too. Both the single-shard
-//! finish path and `shard::merge_reports` call the same derivation on the
-//! same per-disk data in the same order; there is no second code path to
-//! drift.
+//! so the derived rows are bit-identical too. The report assembly every
+//! run ends in derives the series once, from the per-disk collectors put
+//! in global disk order, whatever the shard count.
 //!
 //! Window arithmetic: window `w` covers `[w·width, (w+1)·width)`. A run
 //! that finishes at `t_end` pads every collector to
@@ -228,8 +227,8 @@ pub struct WindowRow {
 
 /// The windowed series attached to a [`crate::metrics::SimReport`] when
 /// `SimConfig::windows` is set: the derived fleet-level rows plus the
-/// per-disk collectors they were derived from (in ascending global disk
-/// order — the carrier `shard::merge_reports` reassembles).
+/// per-disk collectors they were derived from, in ascending global disk
+/// order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WindowedReport {
     /// Tumbling window width in seconds.
@@ -245,10 +244,10 @@ pub struct WindowedReport {
 
 impl WindowedReport {
     /// Derive the fleet-level series from per-disk collectors by folding
-    /// them in ascending global disk order, window by window. Both the
-    /// engine's finish path and the shard merge call exactly this
-    /// function on the same per-disk data in the same order, which is
-    /// what makes the series bit-identical at any shard count.
+    /// them in ascending global disk order, window by window. The report
+    /// assembly calls it once per run, on the per-disk collectors in global
+    /// order, which is what makes the series bit-identical at any shard
+    /// count.
     pub fn derive(width_s: f64, per_disk: Vec<DiskWindows>, faulted: bool) -> Self {
         let mode = per_disk.first().map_or(MetricsMode::Exact, |d| d.mode);
         let mut fleet = DiskWindows::new(width_s, mode);

@@ -79,6 +79,26 @@ fn fixture() -> (FileCatalog, Trace, Assignment) {
     (catalog, trace, Assignment { disks: bins })
 }
 
+/// Both modes derive the global collector by folding the per-disk
+/// collectors in ascending disk order and adding their running sums, so the
+/// two global means are the same bits.
+#[test]
+fn engine_exact_and_histogram_global_means_are_bit_equal() {
+    let (catalog, trace, assignment) = fixture();
+    let exact_cfg = SimConfig::paper_default();
+    let hist_cfg = SimConfig::paper_default().with_metrics(MetricsMode::Histogram);
+    let exact = Simulator::run(&catalog, &trace, &assignment, &exact_cfg).unwrap();
+    let hist = Simulator::run(&catalog, &trace, &assignment, &hist_cfg).unwrap();
+    assert!(
+        exact.responses.len() > 100,
+        "fixture serves a real workload"
+    );
+    assert_eq!(
+        exact.responses.mean().to_bits(),
+        hist.responses.mean().to_bits()
+    );
+}
+
 #[test]
 fn engine_histogram_mode_matches_exact_mode_scalars_and_tails() {
     let (catalog, trace, assignment) = fixture();

@@ -13,8 +13,9 @@
 //! 2. **Seeded Poisson bit-identity** — the same across a 16-disk fleet
 //!    with a randomised-looking seeded workload, plus the three-level
 //!    ladder.
-//! 3. **Exact-mode sharding** — quantiles bit-equal (same sample multiset,
-//!    nearest-rank), mean within float-summation slack.
+//! 3. **Exact-mode sharding** — the whole report bit-identical, global
+//!    mean included (the per-disk collectors fold in ascending global
+//!    disk order at every shard count).
 //! 4. **Degenerate shapes** — more shards than disks, a single-request
 //!    trace and an undersized fleet error; caches and the completion log
 //!    compose (see also `cached_shard_equivalence`).
@@ -183,6 +184,44 @@ fn exact_mode_sharding_preserves_the_sample_multiset() {
         assert_eq!(solo.responses.max(), sharded.responses.max());
         assert_eq!(solo.energy.total_joules(), sharded.energy.total_joules());
         assert_eq!(solo.per_disk_served, sharded.per_disk_served);
+    }
+}
+
+// Exact mode is shard-invariant bit for bit, mean included: every run
+// derives the global collector by folding the per-disk collectors in
+// ascending global disk order, and the mean is the sum of their running
+// sums.
+#[test]
+fn exact_mode_global_statistics_are_bit_identical_across_shard_counts() {
+    let cat = catalog(48);
+    let tr = Trace::poisson(&cat, 1.5, 500.0, 31);
+    let layout = assignment(48, 12);
+    let base = SimConfig::paper_default(); // exact metrics by default
+    let solo = Simulator::run(&cat, &tr, &layout, &base).unwrap();
+    assert!(solo.responses.len() > 100, "fixture serves a real workload");
+    for shards in [1usize, 2, 5] {
+        let cfg = base.clone().with_shards(shards);
+        let sharded = Simulator::run(&cat, &tr, &layout, &cfg).unwrap();
+        let what = format!("exact S={shards}");
+        assert_eq!(solo.responses.len(), sharded.responses.len(), "{what}");
+        assert_eq!(
+            solo.responses.mean().to_bits(),
+            sharded.responses.mean().to_bits(),
+            "{what}: mean"
+        );
+        assert_eq!(
+            solo.responses.max().to_bits(),
+            sharded.responses.max().to_bits(),
+            "{what}: max"
+        );
+        for q in QS {
+            assert_eq!(
+                solo.response_quantile(q).to_bits(),
+                sharded.response_quantile(q).to_bits(),
+                "{what}: q={q}"
+            );
+        }
+        assert_reports_bit_identical(&solo, &sharded, &what);
     }
 }
 
